@@ -223,10 +223,8 @@ func New(cfg Config, salt string) *Injector {
 
 // Fork derives a child injector whose streams are independent of the
 // parent's but still a pure function of (Config.Seed, parent salt, sub).
-// The parallel stepping path gives every thread unit its own forked
-// injector so core-step draws consume per-TU streams: which cycle a fault
-// fires on then cannot depend on how many worker goroutines interleave the
-// TU steps. A nil parent forks to nil.
+// The machine gives every thread unit its own forked injector, so a core's
+// draws depend only on its own step history. A nil parent forks to nil.
 func (in *Injector) Fork(sub string) *Injector {
 	if in == nil {
 		return nil

@@ -10,6 +10,21 @@ import (
 	"repro/internal/stats"
 )
 
+// speedup is base's whole-run cycle count over res's. It goes through
+// EstCycles, so a sampled cell contributes its whole-run estimate rather
+// than the cycles its detailed windows covered; for detailed cells the
+// arithmetic is exactly stats.Speedup's.
+func speedup(base, res *sta.Result) float64 {
+	c := res.Stats.EstCycles()
+	if c == 0 {
+		return 0
+	}
+	return base.Stats.EstCycles() / c
+}
+
+// relSpeedupPct is speedup as a percentage improvement (e.g. +9.7%).
+func relSpeedupPct(base, res *sta.Result) float64 { return (speedup(base, res) - 1) * 100 }
+
 // table2 reports per-benchmark dynamic instruction counts and the fraction
 // executed inside parallel regions, from the functional reference.
 func table2(r *Runner) (*stats.Table, error) {
@@ -130,14 +145,14 @@ func fig9(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(baseRes.Stats.Cycles, res.Stats.Cycles)))
+			cells = append(cells, stats.Pct(relSpeedupPct(baseRes, res)))
 		}
 		for _, n := range tuSweep {
 			res, err := r.Result(b.Short, mk(config.WTHWPWEC, n))
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(baseRes.Stats.Cycles, res.Stats.Cycles)))
+			cells = append(cells, stats.Pct(relSpeedupPct(baseRes, res)))
 		}
 		t.AddRow(cells...)
 	}
@@ -179,8 +194,8 @@ func fig10(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			perCol[i] = append(perCol[i], stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
+			perCol[i] = append(perCol[i], speedup(or, we))
+			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
 		}
 		t.AddRow(cells...)
 	}
@@ -265,8 +280,8 @@ func fig11(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			perCol[i] = append(perCol[i], stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
+			perCol[i] = append(perCol[i], speedup(or, res))
+			cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
 		}
 		t.AddRow(cells...)
 	}
@@ -322,8 +337,8 @@ func fig12(r *Runner) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-				cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
+				col = append(col, speedup(or, res))
+				cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
 			}
 			cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
 			t.AddRow(cells...)
@@ -371,7 +386,7 @@ func fig13(r *Runner) (*stats.Table, error) {
 					return nil, err
 				}
 				cells = append(cells, fmt.Sprintf("%.3f",
-					float64(res.Stats.Cycles)/float64(base.Stats.Cycles)))
+					res.Stats.EstCycles()/base.Stats.EstCycles()))
 			}
 			t.AddRow(cells...)
 		}
@@ -418,7 +433,7 @@ func fig14(r *Runner) (*stats.Table, error) {
 					return nil, err
 				}
 				cells = append(cells, fmt.Sprintf("%.3f",
-					float64(res.Stats.Cycles)/float64(base.Stats.Cycles)))
+					res.Stats.EstCycles()/base.Stats.EstCycles()))
 			}
 			t.AddRow(cells...)
 		}
@@ -467,8 +482,8 @@ func sweepSideSizes(r *Runner, names []config.Name, sizes []int) (*stats.Table, 
 				if err != nil {
 					return nil, err
 				}
-				col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-				cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
+				col = append(col, speedup(or, res))
+				cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
 			}
 			cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
 			t.AddRow(cells...)
@@ -580,8 +595,8 @@ func ablation(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
+			col = append(col, speedup(or, res))
+			cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
 		}
 		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
 		t.AddRow(cells...)
@@ -634,7 +649,7 @@ func gainDecomp(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
+			col = append(col, speedup(or, res))
 			spec += rep.SpecFills.Total()
 			useful += rep.Useful.Total()
 			late += rep.Late.Total()
@@ -716,8 +731,8 @@ func extLatency(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
+			col = append(col, speedup(or, we))
+			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
 		}
 		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
 		t.AddRow(cells...)
@@ -764,8 +779,8 @@ func extBlockSize(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
+			col = append(col, speedup(or, we))
+			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
 		}
 		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
 		t.AddRow(cells...)
@@ -815,9 +830,9 @@ func extBpred(r *Runner) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
+			col = append(col, speedup(or, we))
 			accSum += or.Stats.BranchAccuracy()
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
+			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
 		}
 		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
 		cells = append(cells, fmt.Sprintf("%.1f%%", 100*accSum/float64(len(Benches()))))

@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/sample"
+	"repro/internal/stats"
 )
 
 // TestAllExperimentsRun regenerates every table and figure once on a
@@ -103,4 +107,49 @@ func TestFig11PaperShape(t *testing.T) {
 			t.Errorf("%s (%+.1f%%) beats mcf (%+.1f%%): winner changed", row[0], g, mcfGain)
 		}
 	}
+}
+
+// TestFig11SampledUsesEstimate pins the sampled figures to whole-run cycle
+// estimates: at the survey regime, the mcf wth-wp-wec Figure 11 cell must
+// be the relative speedup of the two cells' EstCycles, not of the cycles
+// their detailed windows happened to cover.
+func TestFig11SampledUsesEstimate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sampled experiment in -short mode")
+	}
+	r := NewRunner(1)
+	r.Sample = sample.Config{WarmupInsts: 500, MeasureInsts: 1000, PeriodInsts: 30000, Seed: 1}
+	tbl, err := fig11(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := new(cfgset)
+	or, err := r.Result("mcf", cs.at8(config.Orig, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	we, err := r.Result("mcf", cs.at8(config.WTHWPWEC, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if or.Stats.Sampled == nil || we.Stats.Sampled == nil {
+		t.Fatal("survey-regime cells carry no sampled estimate")
+	}
+	col := -1
+	for i, h := range tbl.Header {
+		if h == string(config.WTHWPWEC) {
+			col = i
+		}
+	}
+	want := stats.Pct((or.Stats.EstCycles()/we.Stats.EstCycles() - 1) * 100)
+	for _, row := range tbl.Rows {
+		if row[0] == "mcf" {
+			if row[col] != want {
+				t.Errorf("mcf wth-wp-wec cell %s, want %s from the cycle estimates (detailed-window cycles %d vs %d)",
+					row[col], want, or.Stats.Cycles, we.Stats.Cycles)
+			}
+			return
+		}
+	}
+	t.Fatal("fig11 has no mcf row")
 }

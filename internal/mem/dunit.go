@@ -18,9 +18,8 @@ type DUnit struct {
 	side *cache.Cache // nil when cfg.Side == SideNone
 	mshr dMSHR        // outstanding misses; waiters chain through Request.next
 
-	// pool and nextID are per-DUnit (not shared on the Hierarchy) so that
-	// parallel compute phases allocate requests without touching shared
-	// state. IDs are unique per port, which is all Request.ID promises.
+	// pool and nextID are per-DUnit. IDs are unique per port, which is all
+	// Request.ID promises.
 	pool   reqPool
 	nextID int64
 
@@ -127,7 +126,7 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 	if src.Wrong() {
 		d.WrongAcc++
 		if d.attrib != nil {
-			d.obsWrongIssue(cycle, pc)
+			d.attrib.OnWrongIssue(pc)
 		}
 		return d.accessWrong(cycle, block, req)
 	}
@@ -136,9 +135,9 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 	flags, hit := d.l1.Access(addr, kind == Store)
 	if hit {
 		if d.attrib != nil {
-			d.obsDemandAccess(cycle, pc, block, false)
+			d.attrib.OnDemandAccess(d.tu, pc, block, cycle, false)
 			if flags&specFlags != 0 {
-				d.obsSpecTouch(cycle, block)
+				d.attrib.OnSpecTouch(d.tu, block, cycle)
 			}
 		}
 		d.notePrefetchProvenance(flags)
@@ -147,7 +146,7 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 		if d.cfg.NextLinePrefetch && flags&cache.FlagPrefetch != 0 {
 			d.issuePrefetch(cycle, d.l1.NextBlock(addr), pc)
 		}
-		d.complete(cycle, req, cycle+uint64(d.cfg.L1HitLat))
+		d.complete(req, cycle+uint64(d.cfg.L1HitLat))
 		return req
 	}
 
@@ -160,16 +159,16 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 				d.WrongUseful++
 			}
 			if d.attrib != nil {
-				d.obsDemandAccess(cycle, pc, block, false)
+				d.attrib.OnDemandAccess(d.tu, pc, block, cycle, false)
 				if sflags&specFlags != 0 {
-					d.obsSpecTouch(cycle, block)
+					d.attrib.OnSpecTouch(d.tu, block, cycle)
 				} else {
-					d.obsVictimHit(cycle, block)
+					d.attrib.OnVictimHit(d.tu, block, cycle)
 				}
 			}
 			if d.metrics != nil {
 				if at, ok := d.sideInsertAt[block]; ok {
-					d.obsWECPromotion(cycle, cycle-at)
+					d.metrics.ObserveWECPromotion(cycle - at)
 					delete(d.sideInsertAt, block)
 				}
 			}
@@ -178,7 +177,7 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 			// keeping a victim, matching a conventional prefetch buffer).
 			d.side.Remove(block)
 			if d.attrib != nil {
-				d.obsPromote(cycle, block)
+				d.attrib.OnPromote(d.tu, block)
 			}
 			victim := d.l1.Insert(block, 0, kind == Store)
 			if victim.Valid {
@@ -187,10 +186,10 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 						attrib.OriginVictim, -1, attrib.OriginDemand, -1)
 				} else {
 					if victim.Dirty {
-						d.h.writeback(d.tu, cycle, victim.Addr)
+						d.h.writeback(victim.Addr)
 					}
 					if d.attrib != nil {
-						d.obsEvict(cycle, victim.Addr, attrib.OriginDemand, -1)
+						d.attrib.OnEvict(d.tu, victim.Addr, attrib.OriginDemand, -1, cycle)
 					}
 				}
 			}
@@ -202,7 +201,7 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 			} else if d.cfg.NextLinePrefetch && sflags&cache.FlagPrefetch != 0 {
 				d.issuePrefetch(cycle, d.l1.NextBlock(addr), pc)
 			}
-			d.complete(cycle, req, cycle+uint64(d.cfg.L1HitLat))
+			d.complete(req, cycle+uint64(d.cfg.L1HitLat))
 			return req
 		}
 	}
@@ -210,7 +209,7 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 	// Miss in both structures: demand fill from below.
 	d.Misses++
 	if d.attrib != nil {
-		d.obsDemandAccess(cycle, pc, block, true)
+		d.attrib.OnDemandAccess(d.tu, pc, block, cycle, true)
 	}
 	if d.cfg.NextLinePrefetch {
 		// Tagged prefetch initiates on every demand miss.
@@ -225,11 +224,11 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 // fills pollute, as in wp/wth without a WEC).
 func (d *DUnit) accessWrong(cycle uint64, block uint64, req *Request) *Request {
 	if d.l1.Touch(block) {
-		d.complete(cycle, req, cycle+uint64(d.cfg.L1HitLat))
+		d.complete(req, cycle+uint64(d.cfg.L1HitLat))
 		return req
 	}
 	if d.side != nil && d.side.Touch(block) {
-		d.complete(cycle, req, cycle+uint64(d.cfg.L1HitLat))
+		d.complete(req, cycle+uint64(d.cfg.L1HitLat))
 		return req
 	}
 	d.miss(cycle, block, req)
@@ -242,7 +241,7 @@ func (d *DUnit) accessWrong(cycle uint64, block uint64, req *Request) *Request {
 func (d *DUnit) miss(cycle uint64, block uint64, req *Request) {
 	allocated, ok := d.mshr.add(block, req)
 	if !ok {
-		d.complete(cycle, req, cycle+uint64(d.cfg.MemLat))
+		d.complete(req, cycle+uint64(d.cfg.MemLat))
 		return
 	}
 	if allocated {
@@ -328,7 +327,7 @@ func (d *DUnit) fill(block uint64, cycle uint64) {
 				store = true
 			}
 		}
-		d.complete(cycle, req, cycle)
+		d.complete(req, cycle)
 		req.pending = false
 		if !req.held {
 			d.pool.put(req)
@@ -344,9 +343,9 @@ func (d *DUnit) fill(block uint64, cycle uint64) {
 				// A speculative request opened this entry and a correct
 				// demand merged into it: right block, partially hidden
 				// latency ("late" prefetch).
-				d.obsLateFill(cycle, allocOrigin, allocPC)
+				d.attrib.OnLateFill(allocOrigin, allocPC)
 			}
-			d.obsFill(cycle, block, attrib.OriginDemand, demandPC, attrib.StructL1)
+			d.attrib.OnFill(d.tu, block, attrib.OriginDemand, demandPC, cycle, attrib.StructL1)
 		}
 		victim := d.l1.Insert(block, 0, store)
 		if victim.Valid {
@@ -355,10 +354,10 @@ func (d *DUnit) fill(block uint64, cycle uint64) {
 					attrib.OriginVictim, -1, attrib.OriginDemand, -1)
 			} else {
 				if victim.Dirty {
-					d.h.writeback(d.tu, cycle, victim.Addr)
+					d.h.writeback(victim.Addr)
 				}
 				if d.attrib != nil {
-					d.obsEvict(cycle, victim.Addr, attrib.OriginDemand, -1)
+					d.attrib.OnEvict(d.tu, victim.Addr, attrib.OriginDemand, -1, cycle)
 				}
 			}
 		}
@@ -395,7 +394,7 @@ func (d *DUnit) fill(block uint64, cycle uint64) {
 // origin/pc attribute the speculative fill that displaces the victim.
 func (d *DUnit) fillL1Polluting(cycle uint64, block uint64, flags uint8, origin attrib.Origin, pc int) {
 	if d.attrib != nil {
-		d.obsFill(cycle, block, origin, pc, attrib.StructL1)
+		d.attrib.OnFill(d.tu, block, origin, pc, cycle, attrib.StructL1)
 	}
 	victim := d.l1.Insert(block, flags, false)
 	if victim.Valid {
@@ -404,10 +403,10 @@ func (d *DUnit) fillL1Polluting(cycle uint64, block uint64, flags uint8, origin 
 				attrib.OriginVictim, -1, origin, pc)
 		} else {
 			if victim.Dirty {
-				d.h.writeback(d.tu, cycle, victim.Addr)
+				d.h.writeback(victim.Addr)
 			}
 			if d.attrib != nil {
-				d.obsEvict(cycle, victim.Addr, origin, pc)
+				d.attrib.OnEvict(d.tu, victim.Addr, origin, pc, cycle)
 			}
 		}
 	}
@@ -435,7 +434,7 @@ func (d *DUnit) sideInsert(cycle uint64, block uint64, flags uint8, dirty bool,
 	d.SideInserts++
 	victim := d.side.Insert(block, flags, dirty)
 	if victim.Valid && victim.Dirty {
-		d.h.writeback(d.tu, cycle, victim.Addr)
+		d.h.writeback(victim.Addr)
 	}
 	if d.metrics != nil {
 		d.sideInsertAt[block] = cycle
@@ -445,12 +444,12 @@ func (d *DUnit) sideInsert(cycle uint64, block uint64, flags uint8, dirty bool,
 	}
 	if d.attrib != nil {
 		if victim.Valid {
-			d.obsEvict(cycle, victim.Addr, cause, causePC)
+			d.attrib.OnEvict(d.tu, victim.Addr, cause, causePC, cycle)
 		}
 		if origin == attrib.OriginVictim {
-			d.obsVictimCapture(cycle, block)
+			d.attrib.OnVictimCapture(d.tu, block, cycle)
 		} else {
-			d.obsFill(cycle, block, origin, pc, attrib.StructSide)
+			d.attrib.OnFill(d.tu, block, origin, pc, cycle, attrib.StructSide)
 		}
 	}
 }
@@ -461,14 +460,12 @@ func (d *DUnit) notePrefetchProvenance(flags uint8) {
 	}
 }
 
-// complete finishes a request. cycle is the simulated cycle the completion
-// is decided on (the access cycle for hits, the fill cycle for misses) and
-// tags the deferred metrics event; at is the value-availability cycle.
-func (d *DUnit) complete(cycle uint64, req *Request, at uint64) {
+// complete finishes a request; at is the value-availability cycle.
+func (d *DUnit) complete(req *Request, at uint64) {
 	req.Done = true
 	req.DoneCycle = at
 	if d.metrics != nil && req.Kind != Prefetch {
-		d.obsMemAccess(cycle, req, at)
+		d.metrics.ObserveMemAccess(d.tu, req.PC, req.Issued, at, req.Wrong())
 	}
 }
 

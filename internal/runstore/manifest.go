@@ -113,7 +113,6 @@ type Manifest struct {
 	RunID       string  `json:"run_id,omitempty"`   // telemetry run, when one was attached
 	WallSeconds float64 `json:"wall_seconds"`       // wall time of the fresh simulation
 	Generated   string  `json:"generated"`          // RFC3339 archive time
-	Workers     int     `json:"workers,omitempty"`  // intra-machine worker budget (0 = sequential/auto)
 
 	// The deterministic result.
 	Stats    stats.Sim      `json:"stats"`

@@ -1,6 +1,8 @@
 package runstore
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/sta"
 )
 
@@ -204,10 +207,10 @@ func TestSelector(t *testing.T) {
 		{"config=wth-wp-wec", 3},
 		{"config=wth-wp-wec,tus=8", 2},
 		{"bench=mcf,config=orig", 1},
-		{"wth-wp-wec", 3},                      // bare config name
-		{ms[0].CfgHash[:6], 2},                 // bare hash prefix (both wth-wp-wec/8tu cells)
-		{"hash=" + ms[0].CfgHash[1:5], 2},      // hash key without the 'c'
-		{"sidekind=wec,side=16,scale=1", 3},    // orig has SideNone
+		{"wth-wp-wec", 3},                   // bare config name
+		{ms[0].CfgHash[:6], 2},              // bare hash prefix (both wth-wp-wec/8tu cells)
+		{"hash=" + ms[0].CfgHash[1:5], 2},   // hash key without the 'c'
+		{"sidekind=wec,side=16,scale=1", 3}, // orig has SideNone
 		{"key=NumTUs:4", 1},
 		{"tool=test", 4},
 	}
@@ -360,5 +363,81 @@ func TestPareto(t *testing.T) {
 	// Ambiguous baseline is rejected.
 	if _, err := Pareto(all, append(baseline, mkManifest(t, "mcf", config.VC, 8, 16, 1500))); err == nil {
 		t.Error("ambiguous baseline accepted")
+	}
+}
+
+// TestOldArchiveWorkersFieldStillLoads opens an archive written when
+// manifests still recorded the machine's stepping-worker budget
+// ("workers": 4). The field is gone from Manifest; such an archive must
+// still open, answer cells in full (the fleet's and -resume's fast path
+// needs the register file), query, diff, and accept new cells.
+func TestOldArchiveWorkersFieldStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	wec := mkManifest(t, "mcf", config.WTHWPWEC, 8, 16, 1000)
+	orig := mkManifest(t, "mcf", config.Orig, 8, 16, 1200)
+	hdr, _ := json.Marshal(indexHeader{V: indexVersion})
+	lines := []string{string(hdr)}
+	for _, m := range []*Manifest{wec, orig} {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["workers"] = 4
+		old, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(old))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 2 {
+		t.Fatalf("old archive: Len %d, want 2", st.Len())
+	}
+	got := st.Get(wec.CellKey)
+	if got == nil || got.Stats != wec.Stats || got.MemoKey != wec.MemoKey ||
+		got.MemCheck != wec.MemCheck || len(got.IntRegs) != isa.NumIntRegs {
+		t.Fatalf("old manifest does not answer its cell: %+v", got)
+	}
+	sel, err := ParseSelector("bench=mcf,config=wth-wp-wec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Select(st.All(), sel)
+	sel, err = ParseSelector("bench=mcf,config=orig")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Select(st.All(), sel)
+	pairs, err := PairByBench(a, b)
+	if err != nil || len(pairs) != 1 {
+		t.Fatalf("old manifests do not pair for a diff: %v (%d pairs)", err, len(pairs))
+	}
+	for _, met := range DiffMetrics() {
+		if d := Compare(pairs, met, 100, 0, 0.95); math.IsNaN(d.Mean) {
+			t.Errorf("%s: diff over old manifests is NaN", met.Name)
+		}
+	}
+	if err := st.Put(mkManifest(t, "gzip", config.WTHWPWEC, 8, 16, 500)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Len() != 3 {
+		t.Fatalf("after appending to an old archive: Len %d, want 3", st2.Len())
 	}
 }

@@ -73,20 +73,19 @@ func mixedProgram(t testing.TB, phases, seqIters, parIters int) *isa.Program {
 	return p
 }
 
-// runSampledMode runs prog under a sampling regime in one stepping mode.
-func runSampledMode(t testing.TB, cfg Config, prog *isa.Program, sc sample.Config, mode parModeSpec, skip bool) *Result {
+// runSampled runs prog under a sampling regime, with the event-skip clock
+// live or disabled.
+func runSampled(t testing.TB, cfg Config, prog *isa.Program, sc sample.Config, skip bool) *Result {
 	t.Helper()
 	m, err := New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Workers = mode.workers
-	m.DisableParallel = mode.disable
 	m.DisableSkip = !skip
 	m.Sample = sc
 	r, err := m.Run()
 	if err != nil {
-		t.Fatalf("%s skip=%v: %v", mode.name, skip, err)
+		t.Fatalf("skip=%v: %v", skip, err)
 	}
 	return r
 }
@@ -95,7 +94,7 @@ func runSampledMode(t testing.TB, cfg Config, prog *isa.Program, sc sample.Confi
 // whose single measurement window is the whole run (sample.Exact) never
 // fast-forwards, so every deterministic counter, the memory checksum, and
 // the architectural registers are byte-identical to a fully detailed run —
-// across the full stepping-mode matrix — and the attached estimate
+// with and without event skip — and the attached estimate
 // degenerates to the exact cycle count.
 func TestSampledExactEquivalence(t *testing.T) {
 	type caseSpec struct {
@@ -118,28 +117,26 @@ func TestSampledExactEquivalence(t *testing.T) {
 			cfg.WrongThreadExec = true
 			cfg.Core.WrongPathExec = true
 			ref := runMachine(t, cfg, c.prog)
-			for _, mode := range parModes() {
-				for _, skip := range []bool{true, false} {
-					got := runSampledMode(t, cfg, c.prog, sample.Exact(), mode, skip)
-					tag := fmt.Sprintf("%s skip=%v", mode.name, skip)
-					sp := got.Stats.Sampled
-					if sp == nil {
-						t.Fatalf("%s: sampled run carries no estimate", tag)
-					}
-					detail := got.Stats
-					detail.Sampled = nil
-					if detail != ref.Stats {
-						t.Errorf("%s: counters diverge from detailed run\nref: %+v\ngot: %+v", tag, ref.Stats, detail)
-					}
-					if got.MemCheck != ref.MemCheck || got.IntRegs != ref.IntRegs {
-						t.Errorf("%s: architectural state diverges", tag)
-					}
-					if sp.FFInsts != 0 {
-						t.Errorf("%s: exact regime fast-forwarded %d instructions", tag, sp.FFInsts)
-					}
-					if sp.EstCycles != float64(ref.Stats.Cycles) {
-						t.Errorf("%s: estimate %.0f, want exact %d", tag, sp.EstCycles, ref.Stats.Cycles)
-					}
+			for _, skip := range []bool{true, false} {
+				got := runSampled(t, cfg, c.prog, sample.Exact(), skip)
+				tag := fmt.Sprintf("skip=%v", skip)
+				sp := got.Stats.Sampled
+				if sp == nil {
+					t.Fatalf("%s: sampled run carries no estimate", tag)
+				}
+				detail := got.Stats
+				detail.Sampled = nil
+				if detail != ref.Stats {
+					t.Errorf("%s: counters diverge from detailed run\nref: %+v\ngot: %+v", tag, ref.Stats, detail)
+				}
+				if got.MemCheck != ref.MemCheck || got.IntRegs != ref.IntRegs {
+					t.Errorf("%s: architectural state diverges", tag)
+				}
+				if sp.FFInsts != 0 {
+					t.Errorf("%s: exact regime fast-forwarded %d instructions", tag, sp.FFInsts)
+				}
+				if sp.EstCycles != float64(ref.Stats.Cycles) {
+					t.Errorf("%s: estimate %.0f, want exact %d", tag, sp.EstCycles, ref.Stats.Cycles)
 				}
 			}
 		})
@@ -154,44 +151,42 @@ func sampleRegime() sample.Config {
 }
 
 // TestSamplingDeterminism pins that a sampled run is one deterministic
-// simulation: every stepping mode — sequential or parallel workers, with
-// or without event skip — produces the identical estimate, identical
-// detailed counters, and identical architectural state. Phase transitions
-// quantize to safepoints, which exist identically in all modes.
+// simulation: with or without event skip it produces the identical
+// estimate, identical detailed counters, and identical architectural
+// state. Phase transitions quantize to safepoints, which exist identically
+// in both modes.
 func TestSamplingDeterminism(t *testing.T) {
 	prog := mixedProgram(t, 3, 4000, 48)
 	cfg := cfgTU(8)
 	cfg.WrongThreadExec = true
 	cfg.Core.WrongPathExec = true
 	var ref *Result
-	for _, mode := range parModes() {
-		for _, skip := range []bool{true, false} {
-			got := runSampledMode(t, cfg, prog, sampleRegime(), mode, skip)
-			tag := fmt.Sprintf("%s skip=%v", mode.name, skip)
-			if got.Stats.Sampled == nil {
-				t.Fatalf("%s: no estimate attached", tag)
+	for _, skip := range []bool{true, false} {
+		got := runSampled(t, cfg, prog, sampleRegime(), skip)
+		tag := fmt.Sprintf("skip=%v", skip)
+		if got.Stats.Sampled == nil {
+			t.Fatalf("%s: no estimate attached", tag)
+		}
+		if ref == nil {
+			ref = got
+			if got.Stats.Sampled.FFInsts == 0 {
+				t.Fatal("regime never fast-forwarded; the comparison is vacuous")
 			}
-			if ref == nil {
-				ref = got
-				if got.Stats.Sampled.FFInsts == 0 {
-					t.Fatal("regime never fast-forwarded; the matrix is vacuous")
-				}
-				if got.Stats.Sampled.Windows < 3 {
-					t.Fatalf("only %d windows; the matrix is vacuous", got.Stats.Sampled.Windows)
-				}
-				continue
+			if got.Stats.Sampled.Windows < 3 {
+				t.Fatalf("only %d windows; the comparison is vacuous", got.Stats.Sampled.Windows)
 			}
-			detail, refDetail := got.Stats, ref.Stats
-			detail.Sampled, refDetail.Sampled = nil, nil
-			if detail != refDetail {
-				t.Errorf("%s: detailed counters diverge\nref: %+v\ngot: %+v", tag, refDetail, detail)
-			}
-			if *got.Stats.Sampled != *ref.Stats.Sampled {
-				t.Errorf("%s: estimates diverge\nref: %+v\ngot: %+v", tag, *ref.Stats.Sampled, *got.Stats.Sampled)
-			}
-			if got.MemCheck != ref.MemCheck || got.IntRegs != ref.IntRegs {
-				t.Errorf("%s: architectural state diverges", tag)
-			}
+			continue
+		}
+		detail, refDetail := got.Stats, ref.Stats
+		detail.Sampled, refDetail.Sampled = nil, nil
+		if detail != refDetail {
+			t.Errorf("%s: detailed counters diverge\nref: %+v\ngot: %+v", tag, refDetail, detail)
+		}
+		if *got.Stats.Sampled != *ref.Stats.Sampled {
+			t.Errorf("%s: estimates diverge\nref: %+v\ngot: %+v", tag, *ref.Stats.Sampled, *got.Stats.Sampled)
+		}
+		if got.MemCheck != ref.MemCheck || got.IntRegs != ref.IntRegs {
+			t.Errorf("%s: architectural state diverges", tag)
 		}
 	}
 }
@@ -213,7 +208,7 @@ func TestSamplingArchitecturallyExact(t *testing.T) {
 		{WarmupInsts: 0, MeasureInsts: 500, PeriodInsts: 5000},
 		{WarmupInsts: 5000, MeasureInsts: 5000, PeriodInsts: 40000},
 	} {
-		got := runSampledMode(t, cfg, prog, sc, parModes()[0], true)
+		got := runSampled(t, cfg, prog, sc, true)
 		if got.MemCheck != ref.MemCheck {
 			t.Errorf("%s: memory checksum %#x, detailed %#x", sc.Key(), got.MemCheck, ref.MemCheck)
 		}
@@ -230,7 +225,7 @@ func TestSamplingAccuracy(t *testing.T) {
 	cfg := cfgTU(8)
 	ref := runMachine(t, cfg, prog)
 	sc := sample.Config{WarmupInsts: 2000, MeasureInsts: 4000, PeriodInsts: 40000}
-	got := runSampledMode(t, cfg, prog, sc, parModes()[0], true)
+	got := runSampled(t, cfg, prog, sc, true)
 	sp := got.Stats.Sampled
 	if sp == nil {
 		t.Fatal("no estimate attached")

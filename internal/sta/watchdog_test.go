@@ -247,3 +247,37 @@ func errorsAs(err error, target **simerr.Error) bool {
 	}
 	return false
 }
+
+// TestParallelChaosDeterministic drives a parallel region under chaos
+// injection. Every core draws from its own stream, forked from the root
+// injector by TU id, so a seeded fault is a pure function of the seed: it
+// fires at the same cycle with the same classification on every run, and
+// at the cycle pinned below. A change to how the per-TU streams are keyed
+// would move every seeded fault a chaos suite relies on; the pin catches it.
+func TestParallelChaosDeterministic(t *testing.T) {
+	p := scaleLoop(t, 48)
+	for _, tc := range []struct {
+		cfg   chaos.Config
+		cycle uint64
+	}{
+		{chaos.Config{Seed: 7, CorePanic: 2e-3}, 172},
+		{chaos.Config{Seed: 11, MachinePanic: 1e-3}, 295},
+	} {
+		for run := 0; run < 2; run++ {
+			m, err := New(cfgTU(8), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Chaos = chaos.New(tc.cfg, "parallel-equivalence")
+			_, err = m.Run()
+			var se *simerr.Error
+			if !errorsAs(err, &se) {
+				t.Fatalf("seed %d: want a *simerr.Error, got %v", tc.cfg.Seed, err)
+			}
+			if se.Kind != simerr.Panic || se.Cycle != tc.cycle {
+				t.Errorf("seed %d run %d: chaos fired (%v, cycle %d), want (%v, cycle %d)",
+					tc.cfg.Seed, run, se.Kind, se.Cycle, simerr.Panic, tc.cycle)
+			}
+		}
+	}
+}
