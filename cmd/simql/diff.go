@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/runstore"
 )
@@ -15,11 +13,7 @@ import (
 // cmdDiff is the statistical comparison engine's CLI: it pairs two
 // archived selections per (benchmark, scale), reports each metric's mean
 // relative delta with a bootstrap confidence interval over the benchmark
-// set, and exits nonzero on a significant regression. With -perf it
-// instead compares two perfbench reports (files, or history directories
-// whose latest snapshot is taken) under perfbench's own deterministic
-// gates — so CI can gate both simulation quality and simulator speed
-// through one tool.
+// set, and exits nonzero on a significant regression.
 func cmdDiff(args []string) int {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	root := fs.String("root", "runs", "archive root directory")
@@ -28,14 +22,9 @@ func cmdDiff(args []string) int {
 	seed := fs.Uint64("seed", 0, "bootstrap RNG seed (0 = fixed default; any value is deterministic)")
 	conf := fs.Float64("conf", 0.95, "confidence interval mass")
 	format := fs.String("format", "table", "output format: table or json")
-	perf := fs.Bool("perf", false, "compare two perfbench reports (files or history dirs) instead of archive selections")
-	strict := fs.Bool("strict", false, "with -perf, also gate wall-clock ns/op")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		return fail(fmt.Errorf("simql diff: want exactly two arguments (selector A and selector B, or two -perf reports)"))
-	}
-	if *perf {
-		return diffPerf(fs.Arg(0), fs.Arg(1), *tol, *strict)
+		return fail(fmt.Errorf("simql diff: want exactly two arguments (selector A and selector B)"))
 	}
 
 	ms, err := openAll(*root)
@@ -90,109 +79,6 @@ func cmdDiff(args []string) int {
 			return 1
 		}
 	}
-	return 0
-}
-
-// perfReport mirrors cmd/perfbench's report schema (kept in sync by the
-// analytics smoke test; the fields simql needs are a stable subset).
-type perfReport struct {
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	HostCPUs   int    `json:"host_cpus"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Results    []struct {
-		Name           string  `json:"name"`
-		NsPerOp        float64 `json:"ns_per_op"`
-		AllocsPerOp    int64   `json:"allocs_per_op"`
-		SimCyclesPerOp float64 `json:"sim_cycles_per_op"`
-	} `json:"results"`
-}
-
-// loadPerf reads a perfbench report from a file, or the lexically latest
-// *.json snapshot when path is a directory (history snapshots are named by
-// UTC timestamp, so lexical order is chronological order).
-func loadPerf(path string) (*perfReport, string, error) {
-	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		glob, err := filepath.Glob(filepath.Join(path, "*.json"))
-		if err != nil || len(glob) == 0 {
-			return nil, "", fmt.Errorf("simql diff -perf: no snapshots in %s", path)
-		}
-		sort.Strings(glob)
-		path = glob[len(glob)-1]
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	var r perfReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, path, nil
-}
-
-func diffPerf(aPath, bPath string, tol float64, strict bool) int {
-	a, aFile, err := loadPerf(aPath)
-	if err != nil {
-		return fail(err)
-	}
-	b, bFile, err := loadPerf(bPath)
-	if err != nil {
-		return fail(err)
-	}
-	if a.GoMaxProcs != 0 && b.GoMaxProcs != 0 && a.GoMaxProcs != b.GoMaxProcs {
-		fmt.Fprintf(os.Stderr, "simql diff -perf: GOMAXPROCS differ (%d vs %d); wall-clock deltas are not comparable\n",
-			a.GoMaxProcs, b.GoMaxProcs)
-		if strict {
-			return 1
-		}
-	}
-	if a.HostCPUs != 0 && b.HostCPUs != 0 && a.HostCPUs != b.HostCPUs {
-		fmt.Fprintf(os.Stderr, "simql diff -perf: warning: host CPU counts differ (%d vs %d); ns/op deltas are indicative only\n",
-			a.HostCPUs, b.HostCPUs)
-	}
-	byName := make(map[string]int, len(a.Results))
-	for i, e := range a.Results {
-		byName[e.Name] = i
-	}
-	fmt.Printf("perf diff: %s (%s) -> %s (%s)\n\n", aFile, a.Generated, bFile, b.Generated)
-	var bad []string
-	for _, e := range b.Results {
-		i, ok := byName[e.Name]
-		if !ok {
-			continue
-		}
-		base := a.Results[i]
-		rel := func(now, then float64) float64 {
-			if then == 0 {
-				return 0
-			}
-			return now/then - 1
-		}
-		gate := func(metric string, now, then float64) {
-			if then > 0 && now > then*(1+tol) {
-				bad = append(bad, fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f)",
-					e.Name, metric, rel(now, then)*100, then, now))
-			}
-		}
-		gate("allocs/op", float64(e.AllocsPerOp), float64(base.AllocsPerOp))
-		gate("sim-cycles/op", e.SimCyclesPerOp, base.SimCyclesPerOp)
-		if strict {
-			gate("ns/op", e.NsPerOp, base.NsPerOp)
-		}
-		fmt.Printf("%-36s ns/op %+7.1f%%  allocs/op %+7.1f%%  sim-cycles/op %+7.1f%%\n",
-			e.Name, rel(e.NsPerOp, base.NsPerOp)*100,
-			rel(float64(e.AllocsPerOp), float64(base.AllocsPerOp))*100,
-			rel(e.SimCyclesPerOp, base.SimCyclesPerOp)*100)
-	}
-	if len(bad) > 0 {
-		fmt.Fprintln(os.Stderr)
-		for _, line := range bad {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", line)
-		}
-		return 1
-	}
-	fmt.Printf("\nno regressions beyond %.0f%% tolerance\n", tol*100)
 	return 0
 }
 

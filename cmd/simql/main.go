@@ -10,16 +10,14 @@
 //	simql show  [-root runs] <selector>
 //	simql grep  [-root runs] <regexp>
 //	simql diff  [-root runs] [-tol 0.01] <selector A> <selector B>
-//	simql diff  -perf perf/BENCH_baseline.json BENCH_speed.json
 //	simql pareto [-root runs] -base <selector> [candidate selector]
-//	simql report [-root runs] [-o report.html] [-base <selector>] [-perf-history perf/history]
+//	simql report [-root runs] [-o report.html] [-base <selector>]
 //
 // A selector is a comma-separated list of k=v filters over the manifest
 // fields (config=wth-wp-wec,tus=8,side=16 — see `simql help selectors`).
 // `diff` pairs the two selections per (benchmark, scale), reports mean
 // relative deltas with bootstrap confidence intervals over the benchmark
-// set, and exits nonzero when a metric shows a significant regression —
-// the cross-run generalization of `perfbench -check`.
+// set, and exits nonzero when a metric shows a significant regression.
 package main
 
 import (
@@ -96,7 +94,7 @@ commands:
   list    list archived manifests (optionally filtered by a selector)
   show    print matching manifests as JSON
   grep    list manifests matching a regexp (memo key, cell key, config, run, rev)
-  diff    paired statistical comparison of two selections (or -perf reports)
+  diff    paired statistical comparison of two selections
   pareto  speedup-vs-hardware-cost frontier against a baseline selection
   report  render a self-contained HTML dashboard
   help    selectors: 'simql help selectors'`)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"html"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -20,8 +19,8 @@ type chartSeries struct {
 }
 
 // chart is one dashboard panel's data, rendered client-side from the
-// embedded JSON. Kind selects the renderer: "bars" (grouped), "stack"
-// (stacked bars), or "lines".
+// embedded JSON. Kind selects the renderer: "bars" (grouped) or "stack"
+// (stacked bars).
 type chart struct {
 	ID       string        `json:"id"`
 	Kind     string        `json:"kind"`
@@ -40,15 +39,14 @@ type reportData struct {
 	Charts []chart `json:"charts"`
 }
 
-// cmdReport renders the archive (and, when present, the perfbench history)
-// as one self-contained HTML file: no external scripts, styles, fonts, or
-// images — it can be mailed, attached to CI, or opened from file://.
+// cmdReport renders the archive as one self-contained HTML file: no
+// external scripts, styles, fonts, or images — it can be mailed, attached
+// to CI, or opened from file://.
 func cmdReport(args []string) int {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	root := fs.String("root", "runs", "archive root directory")
 	out := fs.String("o", "report.html", "output HTML file")
 	base := fs.String("base", "config=orig", "baseline selector speedups are measured against")
-	perfHist := fs.String("perf-history", "perf/history", "perfbench history directory for the trend panel (\"\" disables)")
 	title := fs.String("title", "Cross-run analytics", "dashboard title")
 	fs.Parse(args)
 
@@ -72,12 +70,6 @@ func cmdReport(args []string) int {
 		data.Charts = append(data.Charts, c)
 		tables = append(tables, chartTable(c, "%.0f"))
 	}
-	if *perfHist != "" {
-		if c, ok := perfTrendChart(*perfHist); ok {
-			data.Charts = append(data.Charts, c)
-			tables = append(tables, chartTable(c, "%.0f"))
-		}
-	}
 	var paretoHTML string
 	if berr == nil {
 		if pts, err := runstore.Pareto(ms, baseline); err == nil && len(pts) > 0 {
@@ -85,7 +77,7 @@ func cmdReport(args []string) int {
 		}
 	}
 	if len(data.Charts) == 0 && paretoHTML == "" {
-		return fail(fmt.Errorf("simql report: nothing to render (no baseline pairs, no attribution, no perf history)"))
+		return fail(fmt.Errorf("simql report: nothing to render (no baseline pairs, no attribution)"))
 	}
 
 	doc, err := renderHTML(&data, tables, paretoHTML, manifestTable(ms), *root, len(ms))
@@ -248,82 +240,6 @@ func attribChart(ms []*runstore.Manifest) (chart, bool) {
 			s.Values = append(s.Values, &v)
 		}
 		c.Series = append(c.Series, s)
-	}
-	return c, true
-}
-
-// perfTrendChart plots simulator throughput (sim cycles per host second)
-// across the perfbench history snapshots for a few headline scenarios.
-func perfTrendChart(dir string) (chart, bool) {
-	glob, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(glob) == 0 {
-		return chart{}, false
-	}
-	sort.Strings(glob)
-	const maxSnaps = 30
-	if len(glob) > maxSnaps {
-		glob = glob[len(glob)-maxSnaps:]
-	}
-	headline := []string{
-		"micro/cycle-loop/1tu",
-		"sim/mcf/wth-wp-wec/8tu",
-		"sim/mcf/orig/8tu",
-		"scale/mcf/wth-wp-wec/32tu/serial",
-	}
-	c := chart{
-		ID:       "perftrend",
-		Kind:     "lines",
-		Title:    "Simulator throughput trend",
-		Subtitle: fmt.Sprintf("sim cycles per host second across perfbench snapshots (%s)", dir),
-		YLabel:   "cycles/s",
-	}
-	type snap struct {
-		label string
-		rates map[string]float64
-	}
-	var snaps []snap
-	for _, path := range glob {
-		rep, _, err := loadPerf(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simql report: skipping unreadable snapshot %s: %v\n", path, err)
-			continue
-		}
-		label := rep.Generated
-		if len(label) >= 16 {
-			label = label[5:16] // MM-DDTHH:MM
-		}
-		s := snap{label: label, rates: make(map[string]float64)}
-		for _, e := range rep.Results {
-			if e.NsPerOp > 0 {
-				s.rates[e.Name] = e.SimCyclesPerOp / (e.NsPerOp / 1e9)
-			}
-		}
-		snaps = append(snaps, s)
-	}
-	if len(snaps) == 0 {
-		return chart{}, false
-	}
-	for _, s := range snaps {
-		c.Cats = append(c.Cats, s.label)
-	}
-	for _, name := range headline {
-		ser := chartSeries{Name: name}
-		any := false
-		for _, s := range snaps {
-			if v, ok := s.rates[name]; ok {
-				vv := v
-				ser.Values = append(ser.Values, &vv)
-				any = true
-			} else {
-				ser.Values = append(ser.Values, nil)
-			}
-		}
-		if any {
-			c.Series = append(c.Series, ser)
-		}
-	}
-	if len(c.Series) == 0 {
-		return chart{}, false
 	}
 	return c, true
 }

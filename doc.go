@@ -8,12 +8,13 @@
 //
 // Start with README.md, DESIGN.md (system inventory and per-experiment
 // index), and EXPERIMENTS.md (paper-versus-measured results). The
-// benchmarks in bench_test.go regenerate each figure:
+// command-line tools live under cmd/; experiments regenerates each table
+// and figure:
 //
-//	go test -bench=Fig11 -benchtime=1x .
-//
-// The command-line tools live under cmd/:
-//
-//	go run ./cmd/stasim -bench mcf -config wth-wp-wec
+//	go run ./cmd/experiments -run fig11
 //	go run ./cmd/experiments -run all
+//	go run ./cmd/stasim -bench mcf -config wth-wp-wec
+//
+// The simulator's own speed is measured by the separate benchmark module
+// under benchmark/ (see benchmark/README.md).
 package repro

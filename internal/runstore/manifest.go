@@ -1,7 +1,7 @@
 // Package runstore is the content-addressed archive of completed
 // simulation runs that the cross-run analytics (cmd/simql) query. Every
-// completed cell — from the experiments harness, stasim, or perfbench —
-// archives one Manifest: the configuration hash (derived from the harness
+// completed cell — from the experiments harness or stasim — archives one
+// Manifest: the configuration hash (derived from the harness
 // memoization key), the benchmark, scale, git revision, telemetry run ID,
 // wall time, and the full deterministic counter set (stats.Sim), plus
 // references to the artifact files (metrics / attribution JSON, span
@@ -106,7 +106,7 @@ type Manifest struct {
 	MemLat      int    `json:"mem_lat"`
 
 	// Provenance.
-	Tool        string  `json:"tool"`               // experiments | stasim | perfbench
+	Tool        string  `json:"tool"`               // experiments | stasim | harness (a Runner with no ArchiveTool)
 	Sampling    string  `json:"sampling,omitempty"` // sampling-regime key for sampled runs ("" = detailed)
 	Seed        uint64  `json:"seed,omitempty"`     // chaos seed, when fault injection was active
 	GitRev      string  `json:"git_rev,omitempty"`  // repository revision of the producing build

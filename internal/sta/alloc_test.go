@@ -33,7 +33,8 @@ func allocLoop(t testing.TB, iters int64) *isa.Program {
 // progress tap attached, a steady-state cycle must not allocate at all.
 // This is the contract the telemetry layer's nil-check hooks ride on — if
 // attaching observability moves any per-cycle work onto the heap, or the
-// disabled path regresses, this fails before the perfbench gate does.
+// disabled path regresses, this fails before the whole-run allocation pins
+// in TestRunCyclesAndAllocsPinned do.
 func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	cfg := cfgTU(1)
 	cfg.NumTUs = 1

@@ -80,7 +80,7 @@ grep -q 'frontier' "$work/pareto.txt" || {
 
 # Dashboard: must render, carry the speedup and fill-class panels, and be
 # fully self-contained (zero external references).
-"$work/simql" report -root "$runs" -base "config=orig" -perf-history "" -o "$work/report.html"
+"$work/simql" report -root "$runs" -base "config=orig" -o "$work/report.html"
 for panel in chart-speedup chart-fillclass; do
     grep -q "$panel" "$work/report.html" || {
         echo "FAIL: report.html is missing $panel" >&2
