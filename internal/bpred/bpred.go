@@ -79,13 +79,18 @@ func New(cfg Config) (*Predictor, error) {
 		btbLRU:  make([][]uint64, sets),
 		ras:     make([]int, cfg.RASEntries),
 	}
-	for i := 0; i < sets; i++ {
-		p.btbTags[i] = make([]uint64, cfg.BTBAssoc)
-		p.btbTgts[i] = make([]int, cfg.BTBAssoc)
-		p.btbLRU[i] = make([]uint64, cfg.BTBAssoc)
-		for j := range p.btbTags[i] {
-			p.btbTags[i][j] = ^uint64(0)
-		}
+	// One backing array per BTB field, cut into capped per-set slices.
+	tags := make([]uint64, cfg.BTBEntries)
+	tgts := make([]int, cfg.BTBEntries)
+	lru := make([]uint64, cfg.BTBEntries)
+	for j := range tags {
+		tags[j] = ^uint64(0)
+	}
+	for i, a := 0, cfg.BTBAssoc; i < sets; i++ {
+		lo, hi := i*a, (i+1)*a
+		p.btbTags[i] = tags[lo:hi:hi]
+		p.btbTgts[i] = tgts[lo:hi:hi]
+		p.btbLRU[i] = lru[lo:hi:hi]
 	}
 	return p, nil
 }

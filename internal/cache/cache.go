@@ -82,8 +82,10 @@ func New(p Params) (*Cache, error) {
 		blockBytes: p.BlockBytes,
 		assoc:      assoc,
 	}
+	// One backing array, cut into capped per-set slices.
+	lines := make([]line, nsets*assoc)
 	for i := range c.sets {
-		c.sets[i] = make([]line, assoc)
+		c.sets[i] = lines[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
 	for bs := p.BlockBytes; bs > 1; bs >>= 1 {
 		c.blockShift++

@@ -23,6 +23,11 @@ const pageMask = PageSize - 1
 // call New.
 type Image struct {
 	pages map[uint64]*[PageSize]byte
+	// lastPN and last remember the most recent page found, so repeat
+	// accesses to one page skip the map. Pages are never freed, so a
+	// non-nil last stays valid; a nil last caches nothing.
+	lastPN uint64
+	last   *[PageSize]byte
 }
 
 // New returns an empty memory image; all bytes read as zero.
@@ -30,7 +35,7 @@ func New() *Image {
 	return &Image{pages: make(map[uint64]*[PageSize]byte)}
 }
 
-// Clone returns a deep copy of the image.
+// Clone returns a deep copy of the image, with an empty page cache.
 func (m *Image) Clone() *Image {
 	c := New()
 	for pn, pg := range m.pages {
@@ -42,11 +47,18 @@ func (m *Image) Clone() *Image {
 
 func (m *Image) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := addr >> PageBits
+	if pn == m.lastPN && m.last != nil {
+		return m.last
+	}
 	pg := m.pages[pn]
-	if pg == nil && alloc {
+	if pg == nil {
+		if !alloc {
+			return nil
+		}
 		pg = new([PageSize]byte)
 		m.pages[pn] = pg
 	}
+	m.lastPN, m.last = pn, pg
 	return pg
 }
 

@@ -171,3 +171,56 @@ func TestFootprint(t *testing.T) {
 		t.Errorf("footprint = %d, want %d", got, 2*PageSize)
 	}
 }
+
+// TestPageCacheCoherence drives the one-entry page cache through the
+// sequences that could leave it stale: a miss on an unmapped page followed
+// by the write that maps it, alternation between pages, a word straddling
+// a cached and an unmapped page, and clones taken while a page is cached.
+func TestPageCacheCoherence(t *testing.T) {
+	m := New()
+	// Page 0 is the cache's initial page number: an unmapped read there
+	// must not pin a nil page.
+	if m.ReadWord(0) != 0 || m.ReadWord(3*PageSize) != 0 {
+		t.Fatal("unmapped page reads non-zero")
+	}
+	m.WriteWord(0, 11)
+	m.WriteWord(3*PageSize, 33)
+	if m.ReadWord(0) != 11 || m.ReadWord(3*PageSize) != 33 {
+		t.Fatal("write to a freshly mapped page not read back")
+	}
+	// Alternate pages so every access switches the cached page.
+	for i := range 4 {
+		m.WriteWord(uint64(i%2)*PageSize+64, int64(100+i))
+	}
+	if m.ReadWord(64) != 102 || m.ReadWord(PageSize+64) != 103 {
+		t.Fatal("alternating writes lost")
+	}
+
+	// A word straddling cached page 3 and unmapped page 4.
+	straddle := uint64(4*PageSize - 4)
+	if m.ReadWord(straddle) != 0 {
+		t.Fatal("straddling read of half-unmapped word non-zero")
+	}
+	m.WriteWord(straddle, 0x0102030405060708)
+	if m.ReadWord(straddle) != 0x0102030405060708 {
+		t.Fatalf("straddling word = %#x", m.ReadWord(straddle))
+	}
+	if m.ReadWord(4*PageSize) != 0x01020304 || m.ByteAt(4*PageSize-1) != 0x05 {
+		t.Fatal("straddling write split across pages wrongly")
+	}
+
+	// Clones share no page, whatever either side had cached.
+	m.ReadWord(3 * PageSize)
+	c := m.Clone()
+	c.WriteWord(3*PageSize, -1)
+	m.WriteWord(3*PageSize+8, -2)
+	if m.ReadWord(3*PageSize) != 33 || c.ReadWord(3*PageSize+8) != 0 {
+		t.Fatal("clone and original share a cached page")
+	}
+	if c.ReadWord(3*PageSize) != -1 || m.ReadWord(3*PageSize+8) != -2 {
+		t.Fatal("write after clone lost")
+	}
+	if c.Checksum() == m.Checksum() {
+		t.Fatal("diverged images hash equal")
+	}
+}

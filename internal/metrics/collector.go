@@ -123,16 +123,6 @@ func (c *Collector) FastForward(from, to uint64) {
 	c.Sampler.FastForward(from, to)
 }
 
-// NextSample returns the cycle of the next interval-series row, or 0 when
-// no sampler is attached. The parallel stepping batcher keeps multi-cycle
-// windows short of this boundary.
-func (c *Collector) NextSample() uint64 {
-	if c == nil || c.Sampler == nil {
-		return 0
-	}
-	return c.Sampler.NextBoundary()
-}
-
 // Finish seals the run at its final cycle: the sampler takes a last
 // partial sample and the timeline closes dangling spans.
 func (c *Collector) Finish(cycle uint64) {

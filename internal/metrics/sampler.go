@@ -90,9 +90,7 @@ func (s *Sampler) FastForward(from, to uint64) {
 	}
 }
 
-// NextBoundary returns the cycle of the next sample row. The parallel
-// stepping batcher refuses to open a multi-cycle window across a boundary,
-// so rows always sample fully committed counter state.
+// NextBoundary returns the cycle of the next sample row.
 func (s *Sampler) NextBoundary() uint64 { return s.next }
 
 // Finish appends a final partial row covering the tail of the run.

@@ -11,6 +11,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -122,17 +123,57 @@ func BootstrapRatioCI(num, den []float64, boot int, seed uint64, conf float64) (
 	boot, conf, rng := bootParams(boot, conf, seed)
 	ratios := make([]float64, boot)
 	idx := make([]int, len(num))
-	n := uint64(len(num))
 	for i := range ratios {
-		for j := range idx {
-			idx[j] = int(xorshift(&rng) % n)
-		}
-		ratios[i] = ratioOfSums(num, den, idx)
-		if math.IsNaN(ratios[i]) || math.IsInf(ratios[i], 0) {
-			ratios[i] = point
-		}
+		drawIndices(idx, &rng)
+		ratios[i] = resampledRatio(num, den, idx, point)
 	}
 	return percentiles(ratios, boot, conf)
+}
+
+// BootstrapRatioCIPair returns what BootstrapRatioCI(num1, den1, ...) and
+// BootstrapRatioCI(num2, den2, ...) with the same boot, seed and conf
+// return, bit for bit, drawing the shared resample indices once. The two
+// estimators must be over the same observations (equal lengths) to share
+// draws; otherwise each is bootstrapped on its own.
+func BootstrapRatioCIPair(num1, den1, num2, den2 []float64, boot int, seed uint64, conf float64) (lo1, hi1, lo2, hi2 float64) {
+	n := len(num1)
+	if n < 2 || len(den1) != n || len(num2) != n || len(den2) != n {
+		lo1, hi1 = BootstrapRatioCI(num1, den1, boot, seed, conf)
+		lo2, hi2 = BootstrapRatioCI(num2, den2, boot, seed, conf)
+		return lo1, hi1, lo2, hi2
+	}
+	point1, point2 := ratioOfSums(num1, den1, nil), ratioOfSums(num2, den2, nil)
+	boot, conf, rng := bootParams(boot, conf, seed)
+	ratios := make([]float64, 2*boot)
+	ratios1, ratios2 := ratios[:boot], ratios[boot:]
+	idx := make([]int, n)
+	for i := range ratios1 {
+		drawIndices(idx, &rng)
+		ratios1[i] = resampledRatio(num1, den1, idx, point1)
+		ratios2[i] = resampledRatio(num2, den2, idx, point2)
+	}
+	lo1, hi1 = percentiles(ratios1, boot, conf)
+	lo2, hi2 = percentiles(ratios2, boot, conf)
+	return lo1, hi1, lo2, hi2
+}
+
+// drawIndices fills idx with one resample's indices into len(idx)
+// observations.
+func drawIndices(idx []int, rng *uint64) {
+	n := uint64(len(idx))
+	for j := range idx {
+		idx[j] = int(xorshift(rng) % n)
+	}
+}
+
+// resampledRatio is the ratio of sums over the resample idx, or point when
+// the resample's denominator makes it undefined.
+func resampledRatio(num, den []float64, idx []int, point float64) float64 {
+	r := ratioOfSums(num, den, idx)
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		return point
+	}
+	return r
 }
 
 func ratioOfSums(num, den []float64, idx []int) float64 {
@@ -174,8 +215,12 @@ func xorshift(rng *uint64) uint64 {
 	return *rng
 }
 
+// percentiles returns the order statistics of vals at the lower and upper
+// conf-interval positions, the values sort.Float64s would leave there. It
+// finds them by selection, reordering vals. Values that include a NaN are
+// sorted instead, because sort.Float64s orders NaN before every number and
+// selection's comparisons cannot.
 func percentiles(vals []float64, boot int, conf float64) (lo, hi float64) {
-	sort.Float64s(vals)
 	alpha := (1 - conf) / 2
 	loIdx := int(math.Floor(alpha * float64(boot)))
 	hiIdx := int(math.Ceil((1-alpha)*float64(boot))) - 1
@@ -185,5 +230,67 @@ func percentiles(vals []float64, boot int, conf float64) (lo, hi float64) {
 	if hiIdx >= boot {
 		hiIdx = boot - 1
 	}
-	return vals[loIdx], vals[hiIdx]
+	if slices.ContainsFunc(vals, math.IsNaN) {
+		sort.Float64s(vals)
+		return vals[loIdx], vals[hiIdx]
+	}
+	hi = selectKth(vals, hiIdx)
+	// selectKth leaves no value above hi in vals[:hiIdx] and none below it
+	// in vals[hiIdx+1:].
+	if loIdx <= hiIdx {
+		lo = selectKth(vals[:hiIdx+1], loIdx)
+	} else { // conf so small that 1-conf rounds to 1
+		lo = selectKth(vals[hiIdx:], loIdx-hiIdx)
+	}
+	return lo, hi
+}
+
+// selectKth returns the k-th smallest value of a (0-based), reordering a so
+// that a[:k] holds no value above it and a[k+1:] none below. a must hold no
+// NaN. Quickselect with a median-of-three pivot and a three-way partition,
+// so runs of ties cost one pass; an unlucky pivot sequence falls back to
+// sorting the range that is left.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	for rounds := 0; hi-lo > 1; rounds++ {
+		if rounds == 64 {
+			sort.Float64s(a[lo:hi])
+			break
+		}
+		p := medianOf3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		// a[lo:lt] < p, a[lt:gt] == p, a[gt:hi] > p.
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
+}
+
+func medianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
