@@ -1,15 +1,12 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/chaos"
+	"repro/internal/journal"
 	"repro/internal/simerr"
 	"repro/internal/sta"
 )
@@ -36,13 +33,14 @@ type ledgerEntry struct {
 // interrupted suite can resume without re-simulating finished cells. The
 // first line is a header; each later line is one entry, flushed to the
 // file as it completes, so a killed process loses at most the entry being
-// written. A torn final line is detected and dropped on the next open.
+// written. A torn final line is detected and dropped on the next open
+// (internal/journal owns that discipline).
 //
 // Appends are serialized internally; one Ledger may back a whole worker
 // pool.
 type Ledger struct {
-	mu    sync.Mutex
-	f     *os.File
+	mu    sync.Mutex // guards the chaos draw
+	j     *journal.Journal
 	path  string
 	chaos *chaos.Injector
 }
@@ -54,90 +52,37 @@ type Ledger struct {
 // written at a different version or workload scale is an error rather than
 // a silent mix of incompatible results.
 func OpenLedger(path string, scale int) (*Ledger, map[string]*sta.Result, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
-	}
+	hdr, _ := json.Marshal(ledgerHeader{V: ledgerVersion, Scale: scale})
 	prior := make(map[string]*sta.Result)
-	off := 0
-	for first := true; off < len(data); first = false {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: the append was interrupted mid-line
-		}
-		line := data[off : off+nl]
-		if first {
+	var bad error // a refused header is not an I/O failure: returned unclassified
+	j, err := journal.Open(path, journal.Format{
+		Header: hdr,
+		Check: func(line []byte) error {
 			var h ledgerHeader
 			if err := json.Unmarshal(line, &h); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("harness: ledger %s: corrupt header (delete the file to start over): %w", path, err)
-			}
-			if h.V != ledgerVersion || h.Scale != scale {
-				f.Close()
-				return nil, nil, fmt.Errorf("harness: ledger %s was written at v%d scale %d, want v%d scale %d (match -scale or delete the file)",
+				bad = fmt.Errorf("harness: ledger %s: corrupt header (delete the file to start over): %w", path, err)
+			} else if h.V != ledgerVersion || h.Scale != scale {
+				bad = fmt.Errorf("harness: ledger %s was written at v%d scale %d, want v%d scale %d (match -scale or delete the file)",
 					path, h.V, h.Scale, ledgerVersion, scale)
 			}
-		} else {
+			return bad
+		},
+		Entry: func(line []byte) bool {
 			var e ledgerEntry
 			if err := json.Unmarshal(line, &e); err != nil || e.Result == nil {
-				break // torn or corrupt entry: drop it and everything after
+				return false
 			}
 			prior[e.Key] = e.Result
-		}
-		off += nl + 1
+			return true
+		},
+	})
+	if bad != nil {
+		return nil, nil, bad
 	}
-	if off < len(data) {
-		// A torn (or corrupt) tail is being cut off. Truncation must reach
-		// stable storage before anything is appended after it: without the
-		// fsync pair, power loss after new appends could resurrect old tail
-		// bytes past the new entries, corrupting the journal mid-file
-		// instead of at its end.
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
-		}
-		if err := syncDir(path); err != nil {
-			f.Close()
-			return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
-		}
-	}
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
+	if err != nil {
 		return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
 	}
-	l := &Ledger{f: f, path: path}
-	if off == 0 {
-		hdr, _ := json.Marshal(ledgerHeader{V: ledgerVersion, Scale: scale})
-		if _, err := f.Write(append(hdr, '\n')); err != nil {
-			f.Close()
-			return nil, nil, simerr.Classify("harness.ledger", err, simerr.IO)
-		}
-	}
-	return l, prior, nil
-}
-
-// syncDir fsyncs the directory holding path, making a just-performed
-// truncation (or rename) durable across power loss.
-func syncDir(path string) error {
-	dir := filepath.Dir(path)
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return &Ledger{j: j, path: path}, prior, nil
 }
 
 // SetChaos attaches (or with nil detaches) a fault injector whose
@@ -151,15 +96,16 @@ func (l *Ledger) Path() string { return l.path }
 // retried by the Runner's IO retry policy).
 func (l *Ledger) Append(key string, res *sta.Result) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.chaos.FailWrite(); err != nil {
+	err := l.chaos.FailWrite()
+	l.mu.Unlock()
+	if err != nil {
 		return simerr.Classify("harness.ledger", err, simerr.IO)
 	}
 	line, err := json.Marshal(ledgerEntry{Key: key, Result: res})
 	if err != nil {
 		return simerr.Classify("harness.ledger", err, simerr.IO)
 	}
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
+	if err := l.j.Append(line); err != nil {
 		return simerr.Classify("harness.ledger", err, simerr.IO)
 	}
 	return nil
@@ -167,14 +113,7 @@ func (l *Ledger) Append(key string, res *sta.Result) error {
 
 // Close flushes and closes the underlying file.
 func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	if err != nil {
+	if err := l.j.Close(); err != nil {
 		return simerr.Classify("harness.ledger", err, simerr.IO)
 	}
 	return nil

@@ -146,7 +146,7 @@ func (r *Runner) runSupervised(k string, m *sta.Machine, cell *telemetry.Cell) (
 	var cycles uint64
 	if res != nil {
 		cycles = res.Stats.Cycles
-	} else if se := (*simerr.Error)(nil); simerrAs(err, &se) {
+	} else if se := (*simerr.Error)(nil); errors.As(err, &se) {
 		cycles = se.Cycle
 	}
 	sim.EndAt(cycles, telemetry.OutcomeOf(err), err)
@@ -178,11 +178,6 @@ func (r *Runner) runRemote(bench string, cfg sta.Config, cell *telemetry.Cell) (
 		sp.EndAt(cycles, outcome, err)
 	}
 	return res, rep, handled, err
-}
-
-// simerrAs is errors.As pinned to *simerr.Error.
-func simerrAs(err error, target **simerr.Error) bool {
-	return errors.As(err, target)
 }
 
 // BackoffDelay returns the capped-exponential retry delay for an attempt

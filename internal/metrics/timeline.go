@@ -29,7 +29,7 @@ type Timeline struct {
 	// Dropped counts events discarded after MaxEvents was reached.
 	Dropped uint64
 
-	events []traceEvent
+	events []TraceEvent
 	tus    map[int]*tuTimeline
 	maxTU  int
 }
@@ -48,10 +48,11 @@ type tuTimeline struct {
 	seqStart   uint64
 }
 
-// traceEvent is one Chrome trace-event object. Fields follow the Trace
+// TraceEvent is one Chrome trace-event object. Fields follow the Trace
 // Event Format: ph "X" = complete span (ts+dur), "i" = instant, "M" =
-// metadata.
-type traceEvent struct {
+// metadata. Telemetry's span timeline emits the same type, so both files
+// load in the same Perfetto UI.
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   uint64         `json:"ts"`
@@ -88,7 +89,7 @@ func (t *Timeline) tu(id int) *tuTimeline {
 func pipeTID(tu int) int { return tu * 2 }
 func memTID(tu int) int  { return tu*2 + 1 }
 
-func (t *Timeline) add(e traceEvent) {
+func (t *Timeline) add(e TraceEvent) {
 	max := t.MaxEvents
 	if max <= 0 {
 		max = DefaultMaxEvents
@@ -104,11 +105,11 @@ func (t *Timeline) span(tid int, name, cat string, start, end uint64) {
 	if end <= start {
 		return
 	}
-	t.add(traceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: tid, Cat: cat})
+	t.add(TraceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: tid, Cat: cat})
 }
 
 func (t *Timeline) instant(tu int, name string, cycle uint64, args map[string]any) {
-	t.add(traceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: pipeTID(tu), Cat: "lifecycle", S: "t", Args: args})
+	t.add(TraceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: pipeTID(tu), Cat: "lifecycle", S: "t", Args: args})
 }
 
 // closeStage emits the in-flight stage span (if any) ending at cycle.
@@ -199,7 +200,7 @@ func (t *Timeline) MemSpan(tu int, start, end uint64, wrong bool, pc int) {
 	if end <= start {
 		return
 	}
-	e := traceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: memTID(tu), Cat: "mem"}
+	e := TraceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: memTID(tu), Cat: "mem"}
 	if pc >= 0 {
 		e.Args = map[string]any{"pc": pc}
 	}
@@ -210,7 +211,7 @@ func (t *Timeline) MemSpan(tu int, start, end uint64, wrong bool, pc int) {
 // as an instant on the thread unit's memory track.
 func (t *Timeline) AttribInstant(tu int, name string, cycle uint64, args map[string]any) {
 	t.tu(tu)
-	t.add(traceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: memTID(tu), Cat: "attrib", S: "t", Args: args})
+	t.add(TraceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: memTID(tu), Cat: "attrib", S: "t", Args: args})
 }
 
 // Finish closes every open span at the given end cycle (wrong threads can
@@ -229,10 +230,10 @@ func (t *Timeline) Finish(cycle uint64) {
 	}
 }
 
-// traceFile is the Chrome trace-event JSON envelope.
-type traceFile struct {
+// TraceFile is the Chrome trace-event JSON envelope.
+type TraceFile struct {
 	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent   `json:"traceEvents"`
+	TraceEvents     []TraceEvent   `json:"traceEvents"`
 	Metadata        map[string]any `json:"metadata,omitempty"`
 }
 
@@ -240,8 +241,8 @@ type traceFile struct {
 // metadata is emitted for every thread unit seen, in TU order, followed by
 // the recorded events in emission order.
 func (t *Timeline) WriteJSON(w io.Writer) error {
-	f := traceFile{DisplayTimeUnit: "ms"}
-	f.TraceEvents = append(f.TraceEvents, traceEvent{
+	f := TraceFile{DisplayTimeUnit: "ms"}
+	f.TraceEvents = append(f.TraceEvents, TraceEvent{
 		Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": "sta machine (1 cycle = 1us)"},
 	})
@@ -250,9 +251,9 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 			continue
 		}
 		f.TraceEvents = append(f.TraceEvents,
-			traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: pipeTID(tu),
+			TraceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: pipeTID(tu),
 				Args: map[string]any{"name": tuLabel(tu, "")}},
-			traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: memTID(tu),
+			TraceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: memTID(tu),
 				Args: map[string]any{"name": tuLabel(tu, " mem")}},
 		)
 	}

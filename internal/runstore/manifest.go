@@ -14,8 +14,8 @@
 //	  c<cfg-hash>/           one directory per machine configuration
 //	    <bench>-s<scale>.json  one manifest per archived cell
 //
-// The index is written through the same ledger discipline as the harness
-// results ledger: a versioned header line, appends flushed per entry, and
+// The index is an internal/journal file, like the harness results
+// ledger: a versioned header line, appends flushed per entry, and
 // torn-tail truncation on reopen — so archiving is crash-safe and a
 // resumed sweep converges on exactly one manifest per cell (Put is
 // idempotent). The per-cell manifest files are written atomically

@@ -1,15 +1,15 @@
 package runstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 // indexVersion is bumped whenever the on-disk index format changes.
@@ -25,87 +25,47 @@ type indexHeader struct {
 type Store struct {
 	mu    sync.Mutex
 	root  string
-	f     *os.File // index journal, append position at EOF
+	j     *journal.Journal // index journal
 	cells map[string]*Manifest
 }
 
 // Open opens (creating if needed) the archive rooted at dir and loads its
-// index. Like the results ledger, a truncated trailing line — a process
-// killed mid-append — is discarded and the journal truncated back to the
-// last intact entry; replayed tails are harmless because entries are keyed
-// and the last write for a cell wins.
+// index. A truncated trailing line — a process killed mid-append — is
+// discarded and the journal truncated back to the last intact entry;
+// replayed tails are harmless because entries are keyed and the last
+// write for a cell wins.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
 	path := filepath.Join(dir, "index.jsonl")
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
+	hdr, _ := json.Marshal(indexHeader{V: indexVersion})
 	cells := make(map[string]*Manifest)
-	off := 0
-	for first := true; off < len(data); first = false {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: the append was interrupted mid-line
-		}
-		line := data[off : off+nl]
-		if first {
+	j, err := journal.Open(path, journal.Format{
+		Header: hdr,
+		Check: func(line []byte) error {
 			var h indexHeader
 			if err := json.Unmarshal(line, &h); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("runstore: %s: corrupt header (delete the file to start over): %w", path, err)
+				return fmt.Errorf("%s: corrupt header (delete the file to start over): %w", path, err)
 			}
 			if h.V != indexVersion {
-				f.Close()
-				return nil, fmt.Errorf("runstore: %s was written at v%d, want v%d", path, h.V, indexVersion)
+				return fmt.Errorf("%s was written at v%d, want v%d", path, h.V, indexVersion)
 			}
-		} else {
+			return nil
+		},
+		Entry: func(line []byte) bool {
 			var m Manifest
 			if err := json.Unmarshal(line, &m); err != nil || m.CellKey == "" {
-				break // torn or corrupt entry: drop it and everything after
+				return false
 			}
 			cells[m.CellKey] = &m
-		}
-		off += nl + 1
-	}
-	if off < len(data) {
-		// A torn (or corrupt) tail is being cut off. As with the results
-		// ledger, the truncation must reach stable storage before new
-		// appends land after it, or power loss could resurrect stale tail
-		// bytes past the new entries.
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-		if err := syncDir(path); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
+			return true
+		},
+	})
+	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	s := &Store{root: dir, f: f, cells: cells}
-	if off == 0 {
-		hdr, _ := json.Marshal(indexHeader{V: indexVersion})
-		if _, err := f.Write(append(hdr, '\n')); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-	}
-	return s, nil
+	return &Store{root: dir, j: j, cells: cells}, nil
 }
 
 // Root returns the archive's root directory.
@@ -179,25 +139,11 @@ func (s *Store) Put(m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
+	if err := s.j.Append(line); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	s.cells[m.CellKey] = m
 	return nil
-}
-
-// syncDir fsyncs the directory holding path, making a just-performed
-// truncation durable across power loss.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // ManifestPath returns the per-cell JSON path a manifest was (or would be)
@@ -208,14 +154,7 @@ func (s *Store) ManifestPath(m *Manifest) string {
 
 // Close flushes and closes the index journal.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	if err != nil {
+	if err := s.j.Close(); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,7 +117,7 @@ func (r *Run) BuildFlightDump(c *Cell, cause error) *FlightDump {
 		d.Error = cause.Error()
 	}
 	var se *simerr.Error
-	if simerrAs(cause, &se) {
+	if errors.As(cause, &se) {
 		d.Cycle = se.Cycle
 		d.TUs = se.TUs
 		d.Stack = string(se.Stack)

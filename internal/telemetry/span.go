@@ -2,11 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simerr"
 )
 
@@ -103,11 +103,6 @@ func (s *Span) EndAt(endCycle uint64, outcome string, err error) {
 	r.writeSpan(s)
 }
 
-// simerrAs is errors.As pinned to *simerr.Error (keeps call sites terse).
-func simerrAs(err error, target **simerr.Error) bool {
-	return errors.As(err, target)
-}
-
 // OutcomeOf maps an error to a span outcome: "ok" for nil, the simerr kind
 // name otherwise.
 func OutcomeOf(err error) string {
@@ -117,36 +112,19 @@ func OutcomeOf(err error) string {
 	return simerr.KindOf(err).String()
 }
 
-// traceEvent is the Chrome trace-event JSON shape used by ConvertSpans; it
-// mirrors the (unexported) event type of internal/metrics.Timeline so the
-// rendered file loads in the same Perfetto UI next to the cycle timeline.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	Cat  string         `json:"cat,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // ConvertSpans reads span JSONL (as written to spans.jsonl) and renders a
 // Chrome trace-event / Perfetto JSON timeline: suites on track 0, each
 // cell (with its sim and retry children) on the track of its span ID, all
-// in wall-clock microseconds relative to the earliest span. Malformed
-// lines are skipped so a live (still-appending) file converts cleanly.
+// in wall-clock microseconds relative to the earliest span. Conversion
+// stops at the first malformed record, so a live (still-appending) file
+// converts cleanly. The events are internal/metrics' trace-event types.
 func ConvertSpans(in io.Reader, out io.Writer) error {
 	dec := json.NewDecoder(in)
 	var spans []Span
 	for {
 		var s Span
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				break
-			}
-			// Torn tail of a live file: stop at the first bad record.
-			break
+		if dec.Decode(&s) != nil {
+			break // end of input, or the torn tail of a live file
 		}
 		spans = append(spans, s)
 	}
@@ -160,20 +138,20 @@ func ConvertSpans(in io.Reader, out io.Writer) error {
 		}
 	}
 	// Cells own tracks; children (sim/retry) ride on the parent's track.
-	track := func(s Span) uint64 {
+	track := func(s Span) int {
 		switch s.Kind {
 		case "suite":
 			return 0
 		case "cell":
-			return s.ID
+			return int(s.ID)
 		default:
 			if s.Parent != 0 {
-				return s.Parent
+				return int(s.Parent)
 			}
-			return s.ID
+			return int(s.ID)
 		}
 	}
-	events := []traceEvent{{
+	events := []metrics.TraceEvent{{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "suite telemetry (run " + spans[0].Run + ")"},
 	}}
@@ -194,23 +172,12 @@ func ConvertSpans(in io.Reader, out io.Writer) error {
 		if s.Err != "" {
 			args["err"] = s.Err
 		}
-		events = append(events, traceEvent{
+		events = append(events, metrics.TraceEvent{
 			Name: s.Name, Ph: "X", Pid: 1, Tid: track(s), Cat: s.Kind,
-			Ts:   s.Start.Sub(epoch).Microseconds(),
-			Dur:  max64(1, s.End_.Sub(s.Start).Microseconds()),
+			Ts:   uint64(s.Start.Sub(epoch).Microseconds()),
+			Dur:  uint64(max(1, s.End_.Sub(s.Start).Microseconds())),
 			Args: args,
 		})
 	}
-	doc := struct {
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-		TraceEvents     []traceEvent `json:"traceEvents"`
-	}{DisplayTimeUnit: "ms", TraceEvents: events}
-	return json.NewEncoder(out).Encode(doc)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return json.NewEncoder(out).Encode(metrics.TraceFile{DisplayTimeUnit: "ms", TraceEvents: events})
 }

@@ -32,6 +32,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/journal"
 	"repro/internal/simerr"
 	"repro/internal/sta"
 )
@@ -90,8 +92,7 @@ type Run struct {
 
 	fleetSource func() FleetCounts
 
-	spanMu   sync.Mutex
-	spanFile *os.File
+	spans *journal.Journal // spans.jsonl; nil without a Dir
 
 	server *httpServer
 }
@@ -127,18 +128,21 @@ func Start(cfg Config) (*Run, error) {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
-		f, err := os.OpenFile(filepath.Join(cfg.Dir, "spans.jsonl"),
-			os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		// A run killed mid-append leaves a torn line, possibly with a
+		// later span glued onto it. The journal cuts from the first line
+		// that is not valid JSON, so this run's spans start on a line of
+		// their own.
+		j, err := journal.Open(filepath.Join(cfg.Dir, "spans.jsonl"), journal.Format{Entry: json.Valid})
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
-		r.spanFile = f
+		r.spans = j
 	}
 	if cfg.Addr != "" {
 		srv, err := newHTTPServer(r, cfg.Addr)
 		if err != nil {
-			if r.spanFile != nil {
-				r.spanFile.Close()
+			if r.spans != nil {
+				r.spans.Close()
 			}
 			return nil, err
 		}
@@ -172,12 +176,9 @@ func (r *Run) Close() error {
 		suite.End("canceled", nil)
 	}
 	var err error
-	r.spanMu.Lock()
-	if r.spanFile != nil {
-		err = r.spanFile.Close()
-		r.spanFile = nil
+	if r.spans != nil {
+		err = r.spans.Close()
 	}
-	r.spanMu.Unlock()
 	if r.server != nil {
 		r.server.close()
 	}
@@ -320,7 +321,7 @@ func (c *Cell) Fail(err error) string {
 	kind := simerr.KindOf(err)
 	var cycle uint64
 	var se *simerr.Error
-	if simerrAs(err, &se) {
+	if errors.As(err, &se) {
 		se.Run = c.run.ID
 		se.Span = c.Span.ID
 		cycle = se.Cycle
@@ -400,18 +401,17 @@ func sortCells(cs []*Cell) {
 }
 
 // writeSpan appends one completed span to the JSONL file (no-op without a
-// Dir). Serialized so concurrent cell completions cannot tear lines.
+// Dir, or once the run is closed). The journal serializes appends, so
+// concurrent cell completions cannot tear lines.
 func (r *Run) writeSpan(s *Span) {
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	if r.spanFile == nil {
+	if r.spans == nil {
 		return
 	}
 	line, err := json.Marshal(s)
 	if err != nil {
 		return
 	}
-	if _, err := r.spanFile.Write(append(line, '\n')); err != nil {
+	if err := r.spans.Append(line); err != nil && !errors.Is(err, os.ErrClosed) {
 		r.Log.Error("span journal write failed", "err", err)
 	}
 }

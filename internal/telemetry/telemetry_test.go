@@ -165,6 +165,63 @@ func TestConvertSpans(t *testing.T) {
 	}
 }
 
+// TestSpanLogTornTailNextRun: a run killed mid-append leaves a torn span
+// line behind; a second run on the same directory must cut it, so its own
+// spans land on lines of their own and ConvertSpans renders them. Earlier
+// versions appended the next run's span onto the torn line, leaving a
+// corrupt line mid-file; that line is cut the same way.
+func TestSpanLogTornTailNextRun(t *testing.T) {
+	const torn = `{"id":2,"run":"killed-mid-wri`
+	for name, tail := range map[string]string{
+		"torn tail": torn,
+		"glued line": torn + `{"id":1,"run":"later","kind":"cell","name":"vpr/cfg-00000003",` +
+			`"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:01Z","outcome":"ok"}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "spans.jsonl")
+			first := quietRun(t, Config{Dir: dir})
+			first.StartCell("gzip", "cfg-00000001", 0).Done(10)
+			first.Close()
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			second := quietRun(t, Config{Dir: dir})
+			second.StartCell("mcf", "cfg-00000002", 0).Done(20)
+			second.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := ConvertSpans(bytes.NewReader(raw), &out); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Name string `json:"name"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range doc.TraceEvents {
+				names = append(names, e.Name)
+			}
+			if got := strings.Join(names, ","); got != "process_name,gzip/cfg-00000001,mcf/cfg-00000002" {
+				t.Fatalf("converted events %s, want both runs' cells", got)
+			}
+		})
+	}
+}
+
 func TestFlightRingBound(t *testing.T) {
 	r := quietRun(t, Config{FlightSpans: 4})
 	for i := 0; i < 10; i++ {
