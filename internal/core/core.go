@@ -175,6 +175,13 @@ const (
 // own next-waiter links, one per operand. Registration happens at dispatch
 // (readOperand found a non-ready producer); broadcast consumes the chain.
 // Squash recovery rebuilds all chains from the surviving entries.
+//
+// Parked loads: a load that finds an older store with an unknown address
+// parks on that store and leaves the ready set. parkHead is the first load
+// parked on a store slot and parkNext links the loads parked on the same
+// store. The store re-arms its list when it issues; dispatch and recovery
+// reset the lists (recovery returns every surviving parked load to the
+// ready set).
 type robSoA struct {
 	inst   []isa.Inst
 	pc     []int32
@@ -194,6 +201,9 @@ type robSoA struct {
 	waitHead []int32
 	wNext0   []int32
 	wNext1   []int32
+
+	parkHead []int32
+	parkNext []int32
 
 	// Results.
 	ival []int64
@@ -224,6 +234,8 @@ func newROB(n int) robSoA {
 		waitHead:   make([]int32, n),
 		wNext0:     make([]int32, n),
 		wNext1:     make([]int32, n),
+		parkHead:   make([]int32, n),
+		parkNext:   make([]int32, n),
 		ival:       make([]int64, n),
 		fval:       make([]float64, n),
 		predTarget: make([]int32, n),

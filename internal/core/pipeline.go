@@ -1,16 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
 	"repro/internal/chaos"
 	"repro/internal/isa"
 )
-
-// TraceBranches, when positive, prints that many committed branches (debug).
-var TraceBranches int
 
 // RedirectPenalty is the fixed front-end refill bubble after a branch
 // misprediction recovery, on top of the natural drain/refill latency.
@@ -68,6 +64,9 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	if c.robCount > 0 && c.rob.state[c.robHead] == stDone {
 		return cycle + 1 // commit can retire
 	}
+	// Parked loads are outside the ready set: the store they wait on is
+	// ready itself or still waits on an operand, whose producer this bound
+	// already covers.
 	for _, w := range c.readyMask {
 		if w != 0 {
 			return cycle + 1 // an entry can attempt issue
@@ -103,6 +102,21 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 
 func maskSet(m []uint64, i int)   { m[i>>6] |= 1 << (uint(i) & 63) }
 func maskClear(m []uint64, i int) { m[i>>6] &^= 1 << (uint(i) & 63) }
+
+// rangeMask selects the bits of bitmap word w whose slot index lies in
+// [lo, hi).
+func rangeMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if w == lo>>6 {
+		m &^= (1 << (uint(lo) & 63)) - 1
+	}
+	if w == (hi-1)>>6 {
+		if top := uint(hi-1)&63 + 1; top < 64 {
+			m &= (1 << top) - 1
+		}
+	}
+	return m
+}
 
 // entryReady reports whether a dispatched entry has all operands ready:
 // neither used operand may still be unresolved.
@@ -174,11 +188,6 @@ func (c *Core) commit(cycle uint64) {
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 			c.Stats.Branches++
 			bf := c.rob.bflags[idx]
-			if TraceBranches > 0 {
-				TraceBranches--
-				fmt.Printf("commit br pc=%d pred=%v taken=%v mispred=%v\n",
-					c.rob.pc[idx], bf&bPredTaken != 0, bf&bTaken != 0, bf&bMispredict != 0)
-			}
 			// Train the direction predictor at commit so wrong-path
 			// branches never pollute it; count only committed mispredicts.
 			c.bp.UpdateDirection(int(c.rob.pc[idx]), bf&bTaken != 0, bf&bPredTaken != 0)
@@ -302,15 +311,7 @@ func (c *Core) complete(cycle uint64) {
 // executing set was rebuilt; iteration must stop).
 func (c *Core) completeRange(cycle uint64, lo, hi int) bool {
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := c.execMask[w]
-		if w == lo>>6 {
-			word &^= (1 << (uint(lo) & 63)) - 1
-		}
-		if w == (hi-1)>>6 {
-			if top := uint(hi-1)&63 + 1; top < 64 {
-				word &= (1 << top) - 1
-			}
-		}
+		word := c.execMask[w] & rangeMask(w, lo, hi)
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
@@ -479,7 +480,9 @@ func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 		c.execMask[i] = 0
 	}
 	for p := 0; p < c.robCount; p++ {
-		c.rob.waitHead[c.slotAt(p)] = -1
+		idx := c.slotAt(p)
+		c.rob.waitHead[idx] = -1
+		c.rob.parkHead[idx] = -1 // parked loads rejoin the ready set below
 	}
 	for p := 0; p < c.robCount; p++ {
 		idx := c.slotAt(p)
@@ -536,15 +539,7 @@ func (c *Core) issue(cycle uint64) {
 // issueRange attempts issue for ready entries with slot index in [lo, hi).
 func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 	for w := lo >> 6; w <= (hi-1)>>6 && *issued < c.cfg.IssueWidth; w++ {
-		word := c.readyMask[w]
-		if w == lo>>6 {
-			word &^= (1 << (uint(lo) & 63)) - 1
-		}
-		if w == (hi-1)>>6 {
-			if top := uint(hi-1)&63 + 1; top < 64 {
-				word &= (1 << top) - 1
-			}
-		}
+		word := c.readyMask[w] & rangeMask(w, lo, hi)
 		for word != 0 && *issued < c.cfg.IssueWidth {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
@@ -573,6 +568,13 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 				maskClear(c.readyMask, idx)
 				maskSet(c.execMask, idx)
 				*issued++
+				if c.rob.parkHead[idx] >= 0 {
+					// Loads parked on this store are younger, so they still
+					// get their attempt in this pass, as an unparked retry
+					// would: re-arm them and reload the word.
+					c.unpark(idx)
+					word = c.readyMask[w] & rangeMask(w, lo, hi) &^ (2<<uint(b) - 1)
+				}
 			default:
 				fu := in.Op.FU()
 				if !c.takeFU(fu) {
@@ -651,7 +653,12 @@ func (c *Core) issueLoad(cycle uint64, idx int) bool {
 			continue
 		}
 		if c.rob.flags[s]&fAddrKnown == 0 {
-			return false // wait: unresolved older store address
+			// Unresolved older store address: park on that store until
+			// it issues instead of retrying every cycle.
+			c.rob.parkNext[idx] = c.rob.parkHead[s]
+			c.rob.parkHead[s] = int32(idx)
+			maskClear(c.readyMask, idx)
+			return false
 		}
 		if c.rob.addr[s] == addr {
 			fwd = s
@@ -683,6 +690,14 @@ func (c *Core) issueLoad(cycle uint64, idx int) bool {
 		c.rob.flags[idx] |= fMemIssued
 		return true
 	}
+}
+
+// unpark returns every load parked on store slot s to the ready set.
+func (c *Core) unpark(s int) {
+	for k := c.rob.parkHead[s]; k >= 0; k = c.rob.parkNext[k] {
+		maskSet(c.readyMask, int(k))
+	}
+	c.rob.parkHead[s] = -1
 }
 
 func (c *Core) finishLoad(idx int, bits int64, doneAt uint64) {
@@ -761,6 +776,7 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 	c.rob.bflags[idx] = 0
 	c.rob.waitHead[idx] = -1
 	c.rob.wNext0[idx], c.rob.wNext1[idx] = -1, -1
+	c.rob.parkHead[idx] = -1
 	maskClear(c.readyMask, idx)
 	maskClear(c.execMask, idx)
 

@@ -195,8 +195,12 @@ func (h *Hierarchy) SequentialUpdate(srcTU int, addr uint64) {
 
 // Tick advances the shared levels by one cycle: the L2 accepts one request,
 // DRAM completions fill the L2, and finished fills are delivered to the L1
-// units. Call after stepping the cores each cycle.
-func (h *Hierarchy) Tick(cycle uint64) {
+// units. Call after stepping the cores each cycle. The returned woken set
+// has bit tu set for every thread unit whose I or D unit received a fill
+// this cycle: the only way the hierarchy changes what a core may do next,
+// so a core outside the set keeps its wake bound. Thread-unit ids stay
+// below 64 (the L2 MSHR token already packs them into six bits).
+func (h *Hierarchy) Tick(cycle uint64) (woken uint64) {
 	if h.chaos != nil {
 		h.chaos.SlowCycle()
 	}
@@ -223,12 +227,15 @@ func (h *Hierarchy) Tick(cycle uint64) {
 		switch {
 		case f.tu < 0:
 			h.completeDRAM(f.at, f.block)
+			continue
 		case f.isI:
 			h.iunits[f.tu].fill(f.block)
 		default:
 			h.dunits[f.tu].fill(f.block, f.at)
 		}
+		woken |= 1 << uint(f.tu)
 	}
+	return woken
 }
 
 // NextWake returns the earliest future cycle at which Tick could have any

@@ -133,10 +133,11 @@ type Machine struct {
 	// registry and pollution/promotion instants go to its timeline.
 	Attrib *attrib.Collector
 
-	// DisableSkip forces the machine to step every cycle instead of
-	// fast-forwarding over provably idle spans. Results are identical
-	// either way (the skip-equivalence test asserts it); the knob exists
-	// for that test and for debugging.
+	// DisableSkip forces the machine to step every thread unit every
+	// cycle, instead of fast-forwarding over provably idle spans and
+	// letting each idle or blocked TU sleep until its own wake cycle.
+	// Results are identical either way (the skip-equivalence tests assert
+	// it); the knob exists for those tests and for debugging.
 	DisableSkip bool
 
 	// Chaos, when non-nil, draws deterministic fault injections (panics,
@@ -364,11 +365,22 @@ func (m *Machine) step() {
 	}
 	if !m.livelocked {
 		m.hier.BeginCycle(m.cycle)
+		// A TU whose cached wake bound lies in the future would step as a
+		// no-op, so it sleeps. Under chaos every TU steps, so each core's
+		// per-step fault draws are those of the stepped clock.
+		sleep := !m.DisableSkip && m.Chaos == nil
 		for i := range m.tus {
-			m.tus[i].step(m.cycle)
+			tu := &m.tus[i]
+			if sleep && tu.wakeAt > m.cycle {
+				continue
+			}
+			tu.step(m.cycle)
+			tu.touch()
 		}
 		m.tryStartPending()
-		m.hier.Tick(m.cycle)
+		for woken := m.hier.Tick(m.cycle); woken != 0; woken &= woken - 1 {
+			m.tus[bits.TrailingZeros64(woken)].touch()
+		}
 	}
 	m.endCycle()
 }
@@ -423,19 +435,18 @@ func (m *Machine) skipIdle(wdDeadline uint64) {
 }
 
 // nextWake returns the earliest cycle after the just-stepped cycle at which
-// any component of the machine could change state.
+// any component of the machine could change state. It first refreshes every
+// stale per-TU bound (a TU that stepped, received a fill, or was touched),
+// so Machine.step can let each TU sleep until its own wake cycle.
 func (m *Machine) nextWake(cycle uint64) uint64 {
 	wake := m.hier.NextWake(cycle)
-	if wake == cycle+1 {
-		return wake
-	}
 	for i := range m.tus {
-		w := m.tus[i].nextWake(cycle)
-		if w == cycle+1 {
-			return w
+		tu := &m.tus[i]
+		if tu.wakeAt <= cycle {
+			tu.wakeAt = tu.nextWake(cycle)
 		}
-		if w < wake {
-			wake = w
+		if tu.wakeAt < wake {
+			wake = tu.wakeAt
 		}
 	}
 	if pf := m.pending; pf != nil {
@@ -515,6 +526,7 @@ func (m *Machine) startThread(pf *pendingFork, tu *threadUnit) {
 	}
 	tu.startedAt = m.cycle
 	tu.core.StartThread(pf.target, pf.mask, &pf.regs, tu.wrong)
+	tu.touch()
 	m.forks++
 	m.progress++ // thread starts count as forward progress
 	m.emit(tu.id, trace.ThreadStart, int64(pf.target))

@@ -178,6 +178,11 @@ func (m *Machine) drainHier() {
 func (m *Machine) fastForward(ctx context.Context, tu *threadUnit, ff uint64) error {
 	pc := tu.core.SquashForSample()
 	m.drainHier()
+	// The squash, the drain's fills and the resume below all change thread
+	// units from outside their own steps.
+	for i := range m.tus {
+		m.tus[i].touch()
+	}
 	eng := m.eng
 	m.ffTU = tu.id
 	eng.Int = &tu.core.IntRegs

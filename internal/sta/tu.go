@@ -38,7 +38,17 @@ type threadUnit struct {
 	lastWrong   uint64 // last observed wrong-thread commit count
 	parCommits  uint64
 	startedAt   uint64 // cycle the current thread began (metrics lifetime)
+
+	// wakeAt caches nextWake: Machine.step skips this TU while the bound is
+	// in the future. 0 means stale: the TU stepped, received a fill, or was
+	// touched by another TU (touch), so it steps next cycle and the bound
+	// is recomputed (Machine.nextWake).
+	wakeAt uint64
 }
+
+// touch invalidates the cached wake bound after another TU, the fork
+// logic, or the sampler changed this TU's state from outside its own step.
+func (tu *threadUnit) touch() { tu.wakeAt = 0 }
 
 // init prepares a zero-valued thread unit in place. Thread units live in
 // the machine's value slice, so they are initialized where they sit rather
@@ -106,6 +116,7 @@ func (tu *threadUnit) updateChain(cycle uint64) {
 		s := &tu.m.tus[tu.succ]
 		s.hasPredFlag = true
 		s.predChainAt = cycle + uint64(tu.m.cfg.TransferPerValue)
+		s.touch()
 	}
 }
 
@@ -142,6 +153,7 @@ func (tu *threadUnit) finishWB(cycle uint64) {
 		for addr := range tu.ownTargets {
 			delete(s.memBuf.upstream, addr)
 		}
+		s.touch()
 	})
 	if tu.abortResume >= 0 {
 		pc := tu.abortResume
@@ -156,7 +168,9 @@ func (tu *threadUnit) finishWB(cycle uint64) {
 	}
 	// Normal retirement: the successor becomes the oldest thread.
 	if tu.succ >= 0 {
-		tu.m.tus[tu.succ].pred = -1
+		s := &tu.m.tus[tu.succ]
+		s.pred = -1
+		s.touch()
 	}
 	tu.m.emit(tu.id, trace.Retire, 0)
 	tu.detach()
@@ -184,6 +198,7 @@ func (tu *threadUnit) kill() {
 	tu.core.Kill()
 	tu.memBuf.reset()
 	tu.detach()
+	tu.touch()
 }
 
 func (tu *threadUnit) mbStats() {
@@ -248,6 +263,7 @@ func (tu *threadUnit) CommitStore(cycle uint64, addr uint64, val int64, target b
 		hop := uint64(tu.m.cfg.TransferPerValue)
 		tu.m.forEachSuccessor(tu, func(i int, s *threadUnit) {
 			s.memBuf.deliver(addr, val, cycle+hop*uint64(i+1))
+			s.touch()
 		})
 	}
 }
@@ -329,6 +345,7 @@ func (tu *threadUnit) OnTsa(cycle uint64, addr uint64) {
 	hop := uint64(tu.m.cfg.TransferPerValue)
 	tu.m.forEachSuccessor(tu, func(i int, s *threadUnit) {
 		s.memBuf.announce(addr, cycle+hop*uint64(i+1))
+		s.touch()
 	})
 }
 
@@ -366,6 +383,7 @@ func (tu *threadUnit) OnAbort(cycle uint64, resumePC int) {
 			if !s.wrong {
 				s.wrong = true
 				s.core.MarkWrong()
+				s.touch()
 				m.wrongThreads++
 				m.emit(s.id, trace.WrongMark, 0)
 			}
@@ -383,7 +401,8 @@ func (tu *threadUnit) OnAbort(cycle uint64, resumePC int) {
 const neverWake = ^uint64(0)
 
 // nextWake returns the earliest future cycle at which stepping this TU
-// could change state, given cycle was just stepped (see Machine.skipIdle).
+// could change state, given cycle was just stepped and nothing outside the
+// TU touches it first (see Machine.skipIdle and threadUnit.wakeAt).
 func (tu *threadUnit) nextWake(cycle uint64) uint64 {
 	wake := uint64(neverWake)
 	switch tu.state {
@@ -393,7 +412,8 @@ func (tu *threadUnit) nextWake(cycle uint64) uint64 {
 		if tu.pred < 0 {
 			return cycle + 1 // becomes the oldest thread and starts draining
 		}
-		// Otherwise woken by the predecessor's retirement, a stepped event.
+		// Otherwise woken by the predecessor's retirement, which touches
+		// this TU.
 	case tuWBDrain:
 		return cycle + 1 // drains stores every cycle
 	case tuRun:
@@ -413,8 +433,8 @@ func (tu *threadUnit) nextWake(cycle uint64) uint64 {
 				wake = tu.predChainAt
 			}
 		}
-		// Without the flag, the predecessor's own activity is the wake
-		// source; its nextWake covers it.
+		// Without the flag, the predecessor's updateChain delivers it and
+		// touches this TU.
 	}
 	return wake
 }
