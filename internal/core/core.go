@@ -183,7 +183,7 @@ const (
 // reset the lists (recovery returns every surviving parked load to the
 // ready set).
 type robSoA struct {
-	inst   []isa.Inst
+	inst   []isa.Uop
 	pc     []int32
 	state  []uint8
 	flags  []uint8
@@ -219,7 +219,7 @@ type robSoA struct {
 
 func newROB(n int) robSoA {
 	return robSoA{
-		inst:       make([]isa.Inst, n),
+		inst:       make([]isa.Uop, n),
 		pc:         make([]int32, n),
 		state:      make([]uint8, n),
 		flags:      make([]uint8, n),
@@ -265,7 +265,11 @@ type Core struct {
 	env  Env
 	imem *mem.IUnit
 	bp   *bpred.Predictor
-	prog *isa.Program
+
+	// code is the program decoded once at New, plus a trailing HALT uop
+	// that every out-of-range fetch PC maps to (see isa.DecodeUops).
+	code  []isa.Uop
+	entry int
 
 	// Architectural state.
 	IntRegs [isa.NumIntRegs]int64
@@ -307,7 +311,8 @@ type Core struct {
 	// seqForkTarget is the last FORK target seen by fetch in SeqLoops mode.
 	seqForkTarget int
 
-	fuUsed [6]int // per FUClass, reset each cycle
+	fuUsed  [6]int // per FUClass, reset each cycle
+	fuLimit [6]int // per FUClass pool size; FUNone and FUMem are unbounded
 
 	// metrics, when non-nil, observes load-to-use distances at dispatch.
 	metrics *metrics.Collector
@@ -341,11 +346,16 @@ func New(cfg Config, prog *isa.Program, imem *mem.IUnit, dmem DMem, env Env) (*C
 		env:       env,
 		imem:      imem,
 		bp:        bp,
-		prog:      prog,
+		code:      isa.DecodeUops(prog.Insts),
+		entry:     prog.Entry,
 		rob:       newROB(cfg.ROBSize),
 		lsqBuf:    make([]int, cfg.LSQSize),
 		readyMask: make([]uint64, words),
 		execMask:  make([]uint64, words),
+	}
+	c.fuLimit = [6]int{
+		isa.FUNone: math.MaxInt, isa.FUIntALU: cfg.IntALU, isa.FUIntMul: cfg.IntMul,
+		isa.FUFPAdd: cfg.FPAdd, isa.FUFPMul: cfg.FPMul, isa.FUMem: math.MaxInt,
 	}
 	c.clearPipeline()
 	return c, nil
@@ -389,7 +399,7 @@ func (c *Core) StartMain() {
 	for i := range c.FPRegs {
 		c.FPRegs[i] = 0
 	}
-	c.fetchPC = c.prog.Entry
+	c.fetchPC = c.entry
 	c.running = true
 	c.wrongMode = false
 }
@@ -472,11 +482,14 @@ func (c *Core) clearPipeline() {
 // entries to the request pool (the pool defers reuse while the request is
 // still pending in an MSHR).
 func (c *Core) releaseInFlight() {
+	idx := c.robHead
 	for p := 0; p < c.robCount; p++ {
-		idx := (c.robHead + p) % c.cfg.ROBSize
 		if r := c.rob.req[idx]; r != nil {
 			r.Release()
 			c.rob.req[idx] = nil
+		}
+		if idx++; idx == c.cfg.ROBSize {
+			idx = 0
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -54,11 +55,9 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 		if c.redirectStall > 0 {
 			return cycle + 1 // decrements every fetched cycle
 		}
-		if c.robCount < c.cfg.ROBSize {
-			in := c.prog.At(c.fetchPC)
-			if !(in.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize) {
-				return cycle + 1
-			}
+		if c.robCount < c.cfg.ROBSize &&
+			(c.fetchUop().Flags&isa.UMem == 0 || c.lsqCount < c.cfg.LSQSize) {
+			return cycle + 1
 		}
 	}
 	if c.robCount > 0 && c.rob.state[c.robHead] == stDone {
@@ -136,13 +135,33 @@ func (c *Core) addWaiter(prod, slot, op int) {
 	c.rob.waitHead[prod] = int32(slot<<1 | op)
 }
 
+// slotAt is the ROB slot at age position agePos (0 = head, at most
+// ROBSize). The ring wraps by one conditional subtraction, not a division.
 func (c *Core) slotAt(agePos int) int {
-	return (c.robHead + agePos) % c.cfg.ROBSize
+	s := c.robHead + agePos
+	if s >= c.cfg.ROBSize {
+		s -= c.cfg.ROBSize
+	}
+	return s
 }
 
 // posOf is the age position of a ROB slot (inverse of slotAt).
 func (c *Core) posOf(slot int) int {
-	return (slot - c.robHead + c.cfg.ROBSize) % c.cfg.ROBSize
+	p := slot - c.robHead
+	if p < 0 {
+		p += c.cfg.ROBSize
+	}
+	return p
+}
+
+// fetchUop returns the decoded instruction at the fetch PC; every
+// out-of-range PC reads the trailing HALT, as Program.At does.
+func (c *Core) fetchUop() *isa.Uop {
+	pc, last := uint(c.fetchPC), uint(len(c.code)-1)
+	if pc > last {
+		pc = last
+	}
+	return &c.code[pc]
 }
 
 // commit retires up to IssueWidth done entries from the ROB head, applying
@@ -153,18 +172,18 @@ func (c *Core) commit(cycle uint64) {
 		if c.rob.state[idx] != stDone {
 			return
 		}
-		in := c.rob.inst[idx]
+		u := &c.rob.inst[idx]
 		// Architectural register writeback.
-		if in.HasDest() {
-			if in.Op.FPDest() {
-				c.FPRegs[in.Rd] = c.rob.fval[idx]
-				if c.renameFP[in.Rd] == idx {
-					c.renameFP[in.Rd] = -1
+		if u.Flags&isa.UDest != 0 {
+			if u.Flags&isa.UFPDest != 0 {
+				c.FPRegs[u.Rd] = c.rob.fval[idx]
+				if c.renameFP[u.Rd] == idx {
+					c.renameFP[u.Rd] = -1
 				}
 			} else {
-				c.IntRegs[in.Rd] = c.rob.ival[idx]
-				if c.renameInt[in.Rd] == idx {
-					c.renameInt[in.Rd] = -1
+				c.IntRegs[u.Rd] = c.rob.ival[idx]
+				if c.renameInt[u.Rd] == idx {
+					c.renameInt[u.Rd] = -1
 				}
 			}
 		}
@@ -173,19 +192,15 @@ func (c *Core) commit(cycle uint64) {
 		} else {
 			c.Stats.Commits++
 		}
-		switch in.Op {
-		case isa.LD, isa.FLD:
+		switch u.Class {
+		case isa.ClassLoad:
 			c.Stats.Loads++
 			c.popLSQ(idx)
-		case isa.ST, isa.FST:
+		case isa.ClassStore:
 			c.Stats.Stores++
-			c.dmem.CommitStore(cycle, c.rob.addr[idx], c.rob.storeBits[idx], false, int(c.rob.pc[idx]))
+			c.dmem.CommitStore(cycle, c.rob.addr[idx], c.rob.storeBits[idx], u.Op == isa.TST, int(c.rob.pc[idx]))
 			c.popLSQ(idx)
-		case isa.TST:
-			c.Stats.Stores++
-			c.dmem.CommitStore(cycle, c.rob.addr[idx], c.rob.storeBits[idx], true, int(c.rob.pc[idx]))
-			c.popLSQ(idx)
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+		case isa.ClassBranch:
 			c.Stats.Branches++
 			bf := c.rob.bflags[idx]
 			// Train the direction predictor at commit so wrong-path
@@ -194,77 +209,79 @@ func (c *Core) commit(cycle uint64) {
 			if bf&bMispredict != 0 {
 				c.Stats.Mispredicts++
 			}
-		case isa.BEGIN:
-			c.env.OnBegin(cycle, in.Imm)
-		case isa.FORK:
-			c.env.OnFork(cycle, int(in.Imm))
-		case isa.TSAGD:
-			c.env.OnTsagd(cycle)
-		case isa.TSA:
-			c.env.OnTsa(cycle, uint64(c.rob.ival[idx]))
-		case isa.THEND:
-			if c.cfg.SeqLoops {
-				c.env.OnThend(cycle)
-				break
+		case isa.ClassALU:
+			if u.Op == isa.TSA {
+				c.env.OnTsa(cycle, uint64(c.rob.ival[idx]))
 			}
-			c.retireROBHead()
-			c.running = false
-			c.squashAll()
-			c.env.OnThend(cycle)
-			return
-		case isa.ABORT:
-			if c.cfg.SeqLoops {
-				c.env.OnAbort(cycle, int(c.rob.pc[idx])+1)
-				break
+		case isa.ClassMarker:
+			if c.commitMarker(cycle, idx, u) {
+				return
 			}
-			resume := int(c.rob.pc[idx]) + 1
-			c.retireROBHead()
-			c.running = false
-			c.squashAll()
-			c.env.OnAbort(cycle, resume)
-			return
-		case isa.HALT:
-			c.retireROBHead()
-			c.running = false
-			c.squashAll()
-			c.env.OnHalt(cycle)
-			return
 		}
 		c.retireROBHead()
 	}
 }
 
+// commitMarker applies a committing marker's superthreaded control event.
+// It returns true when the marker ended the thread: the head is then
+// already retired and the pipeline squashed.
+func (c *Core) commitMarker(cycle uint64, idx int, u *isa.Uop) bool {
+	switch u.Op {
+	case isa.BEGIN:
+		c.env.OnBegin(cycle, u.Imm)
+	case isa.FORK:
+		c.env.OnFork(cycle, int(u.Imm))
+	case isa.TSAGD:
+		c.env.OnTsagd(cycle)
+	case isa.THEND:
+		if c.cfg.SeqLoops {
+			c.env.OnThend(cycle)
+			return false
+		}
+		c.retireROBHead()
+		c.running = false
+		c.squashAll()
+		c.env.OnThend(cycle)
+		return true
+	case isa.ABORT:
+		resume := int(c.rob.pc[idx]) + 1
+		if c.cfg.SeqLoops {
+			c.env.OnAbort(cycle, resume)
+			return false
+		}
+		c.retireROBHead()
+		c.running = false
+		c.squashAll()
+		c.env.OnAbort(cycle, resume)
+		return true
+	case isa.HALT:
+		c.retireROBHead()
+		c.running = false
+		c.squashAll()
+		c.env.OnHalt(cycle)
+		return true
+	}
+	return false
+}
+
 func (c *Core) retireROBHead() {
-	c.robHead = (c.robHead + 1) % c.cfg.ROBSize
+	if c.robHead++; c.robHead == c.cfg.ROBSize {
+		c.robHead = 0
+	}
 	c.robCount--
 }
 
 // popLSQ removes a committing memory op from the LSQ. Commit proceeds in
 // program order and the LSQ is kept in program order, so the committing op
-// is always the ring front; the scan below is a defensive fallback only.
+// is always the ring front; anything else is a pipeline bug.
 func (c *Core) popLSQ(idx int) {
-	if c.lsqCount > 0 && c.lsqBuf[c.lsqHead] == idx {
-		c.lsqHead++
-		if c.lsqHead == len(c.lsqBuf) {
-			c.lsqHead = 0
-		}
-		c.lsqCount--
-		return
+	if c.lsqCount == 0 || c.lsqBuf[c.lsqHead] != idx {
+		panic(fmt.Sprintf("core: committing memory op in ROB slot %d is not the LSQ front (%d entries)", idx, c.lsqCount))
 	}
-	for i := 0; i < c.lsqCount; i++ {
-		j := (c.lsqHead + i) % len(c.lsqBuf)
-		if c.lsqBuf[j] != idx {
-			continue
-		}
-		// Shift later entries forward one position, preserving age order.
-		for k := i; k < c.lsqCount-1; k++ {
-			from := (c.lsqHead + k + 1) % len(c.lsqBuf)
-			to := (c.lsqHead + k) % len(c.lsqBuf)
-			c.lsqBuf[to] = c.lsqBuf[from]
-		}
-		c.lsqCount--
-		return
+	if c.lsqHead++; c.lsqHead == len(c.lsqBuf) {
+		c.lsqHead = 0
 	}
+	c.lsqCount--
 }
 
 // squashAll discards every in-flight entry (thread end or kill). The wrong
@@ -332,7 +349,7 @@ func (c *Core) completeRange(cycle uint64, lo, hi int) bool {
 			c.rob.state[idx] = stDone
 			maskClear(c.execMask, idx)
 			c.broadcast(idx)
-			if op := c.rob.inst[idx].Op; op.IsBranch() || op == isa.JR {
+			if cl := c.rob.inst[idx].Class; cl == isa.ClassBranch || cl == isa.ClassJR {
 				if c.resolveControl(cycle, idx, c.posOf(idx)) {
 					return false // recovery squashed everything younger
 				}
@@ -392,15 +409,16 @@ func (c *Core) broadcast(idx int) {
 // prediction, training the predictor and recovering on a mismatch. Returns
 // true when recovery squashed younger entries.
 func (c *Core) resolveControl(cycle uint64, idx, agePos int) bool {
-	in := c.rob.inst[idx]
+	u := &c.rob.inst[idx]
+	jr := u.Class == isa.ClassJR
 	var taken bool
 	var target int
-	if in.Op == isa.JR {
+	if jr {
 		taken = true
 		target = int(c.rob.s1i[idx])
 	} else {
-		taken = isa.BranchTaken(in, c.rob.s1i[idx], c.rob.s2i[idx])
-		target = int(in.Imm)
+		taken = isa.BranchTakenOp(u.Op, c.rob.s1i[idx], c.rob.s2i[idx])
+		target = int(u.Imm)
 	}
 	if taken {
 		c.rob.bflags[idx] |= bTaken
@@ -418,7 +436,7 @@ func (c *Core) resolveControl(cycle uint64, idx, agePos int) bool {
 		return false
 	}
 	c.rob.bflags[idx] |= bMispredict
-	if in.Op == isa.JR {
+	if jr {
 		// Indirect-jump mispredicts are rare; count them at resolution.
 		c.Stats.Mispredicts++
 	}
@@ -433,19 +451,18 @@ func (c *Core) resolveControl(cycle uint64, idx, agePos int) bool {
 func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 	for p := agePos + 1; p < c.robCount; p++ {
 		idx := c.slotAt(p)
-		in := c.rob.inst[idx]
 		c.Stats.SquashedInsts++
 		if r := c.rob.req[idx]; r != nil {
 			r.Release()
 			c.rob.req[idx] = nil
 		}
-		if c.cfg.WrongPathExec && in.Op.IsLoad() && c.rob.flags[idx]&fMemIssued == 0 {
+		if c.cfg.WrongPathExec && c.rob.inst[idx].Class == isa.ClassLoad && c.rob.flags[idx]&fMemIssued == 0 {
 			// Compute the effective address if its operand is ready: these
 			// are the "ready" wrong-path loads of Figure 3 that continue to
 			// memory; address-unknown loads squash outright.
 			f := c.rob.flags[idx]
 			if f&fAddrKnown == 0 && f&fS1Rdy != 0 {
-				c.rob.addr[idx] = isa.EffAddr(in, c.rob.s1i[idx])
+				c.rob.addr[idx] = uint64(c.rob.s1i[idx] + c.rob.inst[idx].Imm)
 				c.rob.flags[idx] = f | fAddrKnown
 			}
 			if c.rob.flags[idx]&fAddrKnown != 0 && len(c.wrongQ) < c.cfg.LSQSize {
@@ -458,12 +475,13 @@ func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 	c.robTail = c.slotAt(newCount)
 	// Truncate the LSQ: survivors are a program-order prefix of the ring.
 	kept := 0
-	for i := 0; i < c.lsqCount; i++ {
-		s := c.lsqBuf[(c.lsqHead+i)%len(c.lsqBuf)]
-		if c.posOf(s) >= newCount {
+	for j := c.lsqHead; kept < c.lsqCount; kept++ {
+		if c.posOf(c.lsqBuf[j]) >= newCount {
 			break
 		}
-		kept++
+		if j++; j == len(c.lsqBuf) {
+			j = 0
+		}
 	}
 	c.lsqCount = kept
 	c.robCount = newCount
@@ -486,12 +504,11 @@ func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 	}
 	for p := 0; p < c.robCount; p++ {
 		idx := c.slotAt(p)
-		in := c.rob.inst[idx]
-		if in.HasDest() {
-			if in.Op.FPDest() {
-				c.renameFP[in.Rd] = idx
+		if u := &c.rob.inst[idx]; u.Flags&isa.UDest != 0 {
+			if u.Flags&isa.UFPDest != 0 {
+				c.renameFP[u.Rd] = idx
 			} else {
-				c.renameInt[in.Rd] = idx
+				c.renameInt[u.Rd] = idx
 			}
 		}
 		switch c.rob.state[idx] {
@@ -544,20 +561,20 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
 			idx := w<<6 | b
-			in := c.rob.inst[idx]
-			switch {
-			case in.Op.IsLoad():
+			u := &c.rob.inst[idx]
+			switch u.Class {
+			case isa.ClassLoad:
 				if c.issueLoad(cycle, idx) {
 					maskClear(c.readyMask, idx)
 					maskSet(c.execMask, idx)
 					*issued++
 				}
-			case in.Op.IsStore():
+			case isa.ClassStore:
 				// Stores compute address and data; the cache access happens
 				// at commit (sequential mode) or write-back drain (parallel
 				// mode).
-				c.rob.addr[idx] = isa.EffAddr(in, c.rob.s1i[idx])
-				if in.Op == isa.FST {
+				c.rob.addr[idx] = uint64(c.rob.s1i[idx] + u.Imm)
+				if u.Flags&isa.UFP2 != 0 { // FST: the data register is FP
 					c.rob.storeBits[idx] = int64(math.Float64bits(c.rob.s2f[idx]))
 				} else {
 					c.rob.storeBits[idx] = c.rob.s2i[idx]
@@ -576,10 +593,10 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 					word = c.readyMask[w] & rangeMask(w, lo, hi) &^ (2<<uint(b) - 1)
 				}
 			default:
-				fu := in.Op.FU()
-				if !c.takeFU(fu) {
+				if c.fuUsed[u.FU] >= c.fuLimit[u.FU] {
 					continue
 				}
+				c.fuUsed[u.FU]++
 				c.execALU(cycle, idx)
 				maskClear(c.readyMask, idx)
 				maskSet(c.execMask, idx)
@@ -589,50 +606,27 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 	}
 }
 
-func (c *Core) takeFU(fu isa.FUClass) bool {
-	var limit int
-	switch fu {
-	case isa.FUIntALU:
-		limit = c.cfg.IntALU
-	case isa.FUIntMul:
-		limit = c.cfg.IntMul
-	case isa.FUFPAdd:
-		limit = c.cfg.FPAdd
-	case isa.FUFPMul:
-		limit = c.cfg.FPMul
-	default:
-		return true // markers need no FU
-	}
-	if c.fuUsed[fu] >= limit {
-		return false
-	}
-	c.fuUsed[fu]++
-	return true
-}
-
 // execALU computes a non-memory result, visible after the op latency.
+// Branches and JR produce no register result (their outcome is resolved
+// from the operands at completion), so only ALU ops and JAL write one.
 func (c *Core) execALU(cycle uint64, idx int) {
-	in := c.rob.inst[idx]
-	switch in.Op {
-	case isa.JAL:
-		c.rob.ival[idx] = int64(int(c.rob.pc[idx]) + 1)
-	case isa.JMP, isa.NOP, isa.HALT, isa.BEGIN, isa.FORK, isa.TSAGD,
-		isa.THEND, isa.ABORT:
-		// Markers and unconditional jumps carry no data result.
-	default:
-		c.rob.ival[idx], c.rob.fval[idx] = isa.Eval(in,
+	u := &c.rob.inst[idx]
+	switch {
+	case u.Class == isa.ClassALU:
+		c.rob.ival[idx], c.rob.fval[idx] = isa.EvalOp(u.Op, u.Imm,
 			c.rob.s1i[idx], c.rob.s2i[idx], c.rob.s1f[idx], c.rob.s2f[idx])
+	case u.Op == isa.JAL:
+		c.rob.ival[idx] = int64(int(c.rob.pc[idx]) + 1)
 	}
 	c.rob.state[idx] = stExecuting
-	c.rob.doneAt[idx] = cycle + uint64(in.Op.Latency())
+	c.rob.doneAt[idx] = cycle + uint64(u.Lat)
 }
 
 // issueLoad attempts to start a load: memory ordering against older stores,
 // store-to-load forwarding, then the DMem (memory buffer + caches).
 func (c *Core) issueLoad(cycle uint64, idx int) bool {
-	in := c.rob.inst[idx]
 	if c.rob.flags[idx]&fAddrKnown == 0 {
-		c.rob.addr[idx] = isa.EffAddr(in, c.rob.s1i[idx])
+		c.rob.addr[idx] = uint64(c.rob.s1i[idx] + c.rob.inst[idx].Imm)
 		c.rob.flags[idx] |= fAddrKnown
 	}
 	addr := c.rob.addr[idx]
@@ -649,7 +643,7 @@ func (c *Core) issueLoad(cycle uint64, idx int) bool {
 		if s == idx {
 			break
 		}
-		if !c.rob.inst[s].Op.IsStore() {
+		if c.rob.inst[s].Class != isa.ClassStore {
 			continue
 		}
 		if c.rob.flags[s]&fAddrKnown == 0 {
@@ -707,7 +701,7 @@ func (c *Core) finishLoad(idx int, bits int64, doneAt uint64) {
 }
 
 func (c *Core) finishLoadValue(idx int, bits int64) {
-	if c.rob.inst[idx].Op == isa.FLD {
+	if c.rob.inst[idx].Flags&isa.UFPDest != 0 { // FLD
 		c.rob.fval[idx] = math.Float64frombits(uint64(bits))
 	} else {
 		c.rob.ival[idx] = bits
@@ -741,20 +735,23 @@ func (c *Core) fetch(cycle uint64) {
 		if c.robCount >= c.cfg.ROBSize {
 			return
 		}
-		in := c.prog.At(c.fetchPC)
-		if in.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize {
+		u := c.fetchUop()
+		if u.Flags&isa.UMem != 0 && c.lsqCount >= c.cfg.LSQSize {
 			return
 		}
 		if !c.imem.FetchReady(cycle, c.fetchPC) {
 			c.Stats.FetchStallICache++
 			return
 		}
-		c.dispatch(cycle, in)
-		if in.Op == isa.HALT {
+		c.dispatch(cycle, u)
+		if u.Class != isa.ClassMarker {
+			continue
+		}
+		if u.Op == isa.HALT {
 			c.fetchStopped = true
 			return
 		}
-		if !c.cfg.SeqLoops && (in.Op == isa.THEND || in.Op == isa.ABORT) {
+		if !c.cfg.SeqLoops && (u.Op == isa.THEND || u.Op == isa.ABORT) {
 			// ABORT transfers control out of the loop body; the thread
 			// resumes (or dies) under sta control after commit.
 			c.fetchStopped = true
@@ -765,11 +762,13 @@ func (c *Core) fetch(cycle uint64) {
 
 // dispatch decodes one instruction into the ROB tail, reading or renaming
 // its operands and predicting control flow.
-func (c *Core) dispatch(cycle uint64, in isa.Inst) {
+func (c *Core) dispatch(cycle uint64, u *isa.Uop) {
 	idx := c.robTail
-	c.robTail = (c.robTail + 1) % c.cfg.ROBSize
+	if c.robTail++; c.robTail == c.cfg.ROBSize {
+		c.robTail = 0
+	}
 	c.robCount++
-	c.rob.inst[idx] = in
+	c.rob.inst[idx] = *u
 	c.rob.pc[idx] = int32(c.fetchPC)
 	c.rob.state[idx] = stDispatched
 	c.rob.flags[idx] = 0
@@ -780,27 +779,25 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 	maskClear(c.readyMask, idx)
 	maskClear(c.execMask, idx)
 
-	r1, r2, use1, use2, fp1, fp2 := in.SrcRegs()
-	if use1 {
+	uf := u.Flags
+	if uf&isa.UUse1 != 0 {
 		c.rob.flags[idx] |= fUse1
-		c.readOperand(idx, 0, r1, fp1)
+		c.readOperand(idx, 0, u.Rs1, uf&isa.UFP1 != 0)
 	}
-	if use2 {
+	if uf&isa.UUse2 != 0 {
 		c.rob.flags[idx] |= fUse2
-		c.readOperand(idx, 1, r2, fp2)
+		c.readOperand(idx, 1, u.Rs2, uf&isa.UFP2 != 0)
 	}
 	if c.metrics != nil {
 		c.observeLoadUse(idx)
 	}
 
 	// Markers with no execution latency complete immediately at dispatch+1.
-	switch in.Op {
-	case isa.NOP, isa.HALT, isa.BEGIN, isa.FORK, isa.TSAGD, isa.THEND, isa.ABORT:
+	if u.Class == isa.ClassMarker {
 		c.rob.state[idx] = stExecuting
 		c.rob.doneAt[idx] = cycle + 1
-	}
-
-	if c.rob.state[idx] == stDispatched {
+		maskSet(c.execMask, idx)
+	} else {
 		f := c.rob.flags[idx]
 		if f&fUse1 != 0 && f&fS1Rdy == 0 {
 			c.addWaiter(int(c.rob.s1rob[idx]), idx, 0)
@@ -811,39 +808,47 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 		if c.entryReady(idx) {
 			maskSet(c.readyMask, idx)
 		}
-	} else {
-		maskSet(c.execMask, idx)
 	}
 
-	if in.Op.IsMem() {
-		c.lsqBuf[(c.lsqHead+c.lsqCount)%len(c.lsqBuf)] = idx
+	if uf&isa.UMem != 0 {
+		j := c.lsqHead + c.lsqCount
+		if j >= len(c.lsqBuf) {
+			j -= len(c.lsqBuf)
+		}
+		c.lsqBuf[j] = idx
 		c.lsqCount++
 	}
 
 	// Rename the destination.
-	if in.HasDest() {
-		if in.Op.FPDest() {
-			c.renameFP[in.Rd] = idx
+	if uf&isa.UDest != 0 {
+		if uf&isa.UFPDest != 0 {
+			c.renameFP[u.Rd] = idx
 		} else {
-			c.renameInt[in.Rd] = idx
+			c.renameInt[u.Rd] = idx
 		}
 	}
 
 	// Control flow prediction.
 	next := c.fetchPC + 1
-	switch {
-	case in.Op == isa.FORK && c.cfg.SeqLoops:
-		c.seqForkTarget = int(in.Imm)
-	case in.Op == isa.THEND && c.cfg.SeqLoops:
-		// Sequential semantics: the next iteration begins at the fork
-		// target (matches the functional interpreter).
-		next = c.seqForkTarget
-	case in.Op == isa.JMP:
-		next = int(in.Imm)
-	case in.Op == isa.JAL:
-		c.bp.PushRAS(c.fetchPC + 1)
-		next = int(in.Imm)
-	case in.Op == isa.JR:
+	switch u.Class {
+	case isa.ClassMarker:
+		if !c.cfg.SeqLoops {
+			break
+		}
+		switch u.Op {
+		case isa.FORK:
+			c.seqForkTarget = int(u.Imm)
+		case isa.THEND:
+			// Sequential semantics: the next iteration begins at the fork
+			// target (matches the functional interpreter).
+			next = c.seqForkTarget
+		}
+	case isa.ClassJump:
+		if u.Op == isa.JAL {
+			c.bp.PushRAS(c.fetchPC + 1)
+		}
+		next = int(u.Imm)
+	case isa.ClassJR:
 		if tgt, ok := c.bp.PopRAS(); ok {
 			c.rob.bflags[idx] |= bPredTaken
 			c.rob.predTarget[idx] = int32(tgt)
@@ -851,8 +856,8 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 		} else {
 			c.rob.predTarget[idx] = int32(c.fetchPC + 1)
 		}
-	case in.Op.IsBranch():
-		c.rob.predTarget[idx] = int32(in.Imm)
+	case isa.ClassBranch:
+		c.rob.predTarget[idx] = int32(u.Imm)
 		if c.bp.PredictDirection(c.fetchPC) {
 			c.rob.bflags[idx] |= bPredTaken
 			next = int(c.rob.predTarget[idx])
@@ -867,10 +872,10 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 // load's latency. Called only when a metrics collector is attached.
 func (c *Core) observeLoadUse(idx int) {
 	f := c.rob.flags[idx]
-	if f&fUse1 != 0 && f&fS1Rdy == 0 && c.rob.inst[c.rob.s1rob[idx]].Op.IsLoad() {
+	if f&fUse1 != 0 && f&fS1Rdy == 0 && c.rob.inst[c.rob.s1rob[idx]].Class == isa.ClassLoad {
 		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s1rob[idx]))))
 	}
-	if f&fUse2 != 0 && f&fS2Rdy == 0 && c.rob.inst[c.rob.s2rob[idx]].Op.IsLoad() {
+	if f&fUse2 != 0 && f&fS2Rdy == 0 && c.rob.inst[c.rob.s2rob[idx]].Class == isa.ClassLoad {
 		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s2rob[idx]))))
 	}
 }

@@ -9,7 +9,13 @@ import "math"
 // out-of-order core's execute stage and the functional reference interpreter
 // use this single definition, so their semantics agree by construction.
 func Eval(in Inst, s1, s2 int64, f1, f2 float64) (int64, float64) {
-	switch in.Op {
+	return EvalOp(in.Op, in.Imm, s1, s2, f1, f2)
+}
+
+// EvalOp is Eval on an operation and its immediate, for callers holding a
+// decoded Uop rather than an Inst.
+func EvalOp(op Op, imm int64, s1, s2 int64, f1, f2 float64) (int64, float64) {
+	switch op {
 	case ADD:
 		return s1 + s2, 0
 	case SUB:
@@ -43,23 +49,23 @@ func Eval(in Inst, s1, s2 int64, f1, f2 float64) (int64, float64) {
 	case SLTU:
 		return b2i(uint64(s1) < uint64(s2)), 0
 	case ADDI:
-		return s1 + in.Imm, 0
+		return s1 + imm, 0
 	case ANDI:
-		return s1 & in.Imm, 0
+		return s1 & imm, 0
 	case ORI:
-		return s1 | in.Imm, 0
+		return s1 | imm, 0
 	case XORI:
-		return s1 ^ in.Imm, 0
+		return s1 ^ imm, 0
 	case SLLI:
-		return s1 << (uint64(in.Imm) & 63), 0
+		return s1 << (uint64(imm) & 63), 0
 	case SRLI:
-		return int64(uint64(s1) >> (uint64(in.Imm) & 63)), 0
+		return int64(uint64(s1) >> (uint64(imm) & 63)), 0
 	case SRAI:
-		return s1 >> (uint64(in.Imm) & 63), 0
+		return s1 >> (uint64(imm) & 63), 0
 	case SLTI:
-		return b2i(s1 < in.Imm), 0
+		return b2i(s1 < imm), 0
 	case LI:
-		return in.Imm, 0
+		return imm, 0
 	case FADD:
 		return 0, f1 + f2
 	case FSUB:
@@ -85,20 +91,23 @@ func Eval(in Inst, s1, s2 int64, f1, f2 float64) (int64, float64) {
 	case F2I:
 		return int64(f1), 0
 	case FLI:
-		return 0, math.Float64frombits(uint64(in.Imm))
+		return 0, math.Float64frombits(uint64(imm))
 	case JAL:
 		// Result is the link value; the caller supplies pc+1 via s1.
 		return s1, 0
 	case TSA:
 		// Result is the announced address.
-		return s1 + in.Imm, 0
+		return s1 + imm, 0
 	}
 	return 0, 0
 }
 
 // BranchTaken evaluates a conditional branch's direction.
-func BranchTaken(in Inst, s1, s2 int64) bool {
-	switch in.Op {
+func BranchTaken(in Inst, s1, s2 int64) bool { return BranchTakenOp(in.Op, s1, s2) }
+
+// BranchTakenOp is BranchTaken on an operation alone.
+func BranchTakenOp(op Op, s1, s2 int64) bool {
+	switch op {
 	case BEQ:
 		return s1 == s2
 	case BNE:

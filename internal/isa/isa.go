@@ -3,9 +3,10 @@
 // architecture (STA) thread-pipelining primitives (FORK, ABORT, BEGIN,
 // target stores, and stage markers).
 //
-// Instructions are kept in decoded form (Inst) for simulation speed; a
-// fixed-width binary encoding is provided for tooling and tests (see
-// encode.go). Branch and jump targets are absolute instruction indices,
+// Instructions are kept in decoded form (Inst) for simulation speed, and
+// the timing core predecodes them once more into Uops that carry every op
+// property it consults (see uop.go); a fixed-width binary encoding is
+// provided for tooling and tests (see encode.go). Branch and jump targets are absolute instruction indices,
 // resolved by the assembler. Data addresses are byte addresses into the
 // simulated data memory.
 package isa

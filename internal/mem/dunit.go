@@ -23,7 +23,11 @@ type DUnit struct {
 	pool   reqPool
 	nextID int64
 
+	// portsUsed counts this hierarchy cycle's L1 port uses. It is reset
+	// lazily: the first use in a new cycle (portEpoch behind the
+	// hierarchy's epoch) clears it, so BeginCycle need not visit every unit.
 	portsUsed int
+	portEpoch uint64
 
 	// metrics, when non-nil, observes access latencies and side-buffer
 	// promotion timeliness; sideInsertAt then tracks when each resident
@@ -91,12 +95,19 @@ func (d *DUnit) SetMetrics(c *metrics.Collector) {
 func (d *DUnit) SetAttrib(a *attrib.Collector) { d.attrib = a }
 
 // CanAccept reports whether another access fits in this cycle's ports.
-func (d *DUnit) CanAccept() bool { return d.portsUsed < d.cfg.L1DPorts }
+func (d *DUnit) CanAccept() bool { return d.ports() < d.cfg.L1DPorts }
+
+// ports returns this cycle's port count, first clearing a previous cycle's.
+func (d *DUnit) ports() int {
+	if d.portEpoch != d.h.epoch {
+		d.portEpoch = d.h.epoch
+		d.portsUsed = 0
+	}
+	return d.portsUsed
+}
 
 // MSHRFull reports whether a new miss could not be tracked right now.
 func (d *DUnit) MSHRFull() bool { return d.mshr.full() }
-
-func (d *DUnit) beginCycle() { d.portsUsed = 0 }
 
 // specFlags masks the provenance bits a speculative fill leaves on a block.
 const specFlags = cache.FlagWrong | cache.FlagPrefetch
@@ -110,7 +121,7 @@ const specFlags = cache.FlagWrong | cache.FlagPrefetch
 // comment for a summary.
 func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, pc int) *Request {
 	addr &= PhysMask
-	d.portsUsed++
+	d.portsUsed = d.ports() + 1
 	d.Traffic++
 	block := d.l1.BlockAddr(addr)
 	req := d.pool.get()
@@ -474,11 +485,7 @@ func (d *DUnit) complete(req *Request, at uint64) {
 // whether any structure held the block.
 func (d *DUnit) applyUpdate(addr uint64) bool {
 	block := d.l1.BlockAddr(addr)
-	hit := false
-	if d.l1.Probe(block) {
-		d.l1.SetDirty(block)
-		hit = true
-	}
+	hit := d.l1.SetDirty(block)
 	if d.side != nil && d.side.Probe(block) {
 		hit = true
 	}

@@ -19,12 +19,12 @@ type Hierarchy struct {
 	l2     *cache.Cache
 	l2MSHR *cache.MSHRFile
 
-	// Per-TU units live inline, indexed by TU id: the per-cycle sweeps
-	// (BeginCycle, SequentialUpdate, warming) touch every unit, and value
-	// slices keep them contiguous instead of one pointer dereference per
-	// TU. Sized once at NewHierarchy and never reallocated
-	// — DUnit/IUnit hand out &dunits[i]/&iunits[i] pointers that must stay
-	// valid for the hierarchy's lifetime.
+	// Per-TU units live inline, indexed by TU id: the sweeps
+	// (SequentialUpdate, warming) touch every unit, and value slices keep
+	// them contiguous instead of one pointer dereference per TU. Sized
+	// once at NewHierarchy and never reallocated — DUnit/IUnit hand out
+	// &dunits[i]/&iunits[i] pointers that must stay valid for the
+	// hierarchy's lifetime.
 	dunits []DUnit
 	iunits []IUnit
 
@@ -33,8 +33,11 @@ type Hierarchy struct {
 	l2Queue []l2Req
 	l2qHead int
 	fills   []fill // binary min-heap ordered by at
-	cycle   uint64
 	chaos   *chaos.Injector
+
+	// epoch counts BeginCycle calls; a DUnit whose portEpoch lags it
+	// clears its port count on first use (DUnit.ports).
+	epoch uint64
 
 	// Statistics.
 	L2Accesses uint64
@@ -159,13 +162,11 @@ func (h *Hierarchy) SetAttrib(a *attrib.Collector) {
 // slow-cycle point fires inside Tick.
 func (h *Hierarchy) SetChaos(in *chaos.Injector) { h.chaos = in }
 
-// BeginCycle resets per-cycle port state; call before stepping the cores.
-func (h *Hierarchy) BeginCycle(cycle uint64) {
-	h.cycle = cycle
-	for i := range h.dunits {
-		h.dunits[i].beginCycle()
-	}
-}
+// BeginCycle opens a new cycle's L1 port window; call before stepping the
+// cores. Each data unit clears its port count lazily, on its first use in
+// the new window, so the call costs the same for any number of units and
+// needs no cycle number, only the call itself.
+func (h *Hierarchy) BeginCycle(_ uint64) { h.epoch++ }
 
 // toL2 enqueues a fill request for an L1 block.
 func (h *Hierarchy) toL2(cycle uint64, tu int, isI bool, block uint64) {

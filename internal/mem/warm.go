@@ -70,10 +70,7 @@ func (d *DUnit) warmInsertL1(block uint64, dirty bool) {
 // warmUpdate mirrors the sequential-mode update protocol functionally: a
 // resident copy is refreshed in place (no bus-traffic accounting).
 func (d *DUnit) warmUpdate(addr uint64) {
-	block := d.l1.BlockAddr(addr)
-	if d.l1.Probe(block) {
-		d.l1.SetDirty(block)
-	}
+	d.l1.SetDirty(d.l1.BlockAddr(addr))
 }
 
 // WarmFetch replays one fast-forwarded instruction-block reference into

@@ -172,12 +172,18 @@ type Machine struct {
 	hier *mem.Hierarchy
 
 	// tus holds the thread units inline, one contiguous block indexed by
-	// TU id: the per-cycle scheduling scans (step, nextWake) walk every
-	// TU touching a few scalar fields each, and a value slice keeps those
-	// fields at fixed strides instead of chasing one pointer per TU. The slice is sized once at New and never reallocated —
-	// cores and the hierarchy hold &tus[i] for the machine's lifetime —
-	// so iteration must always go through &m.tus[i], never a range copy.
+	// TU id. The slice is sized once at New and never reallocated — cores
+	// and the hierarchy hold &tus[i] for the machine's lifetime — so
+	// iteration must always go through &m.tus[i], never a range copy.
 	tus []threadUnit
+
+	// wake caches each TU's nextWake bound: step skips a TU while its
+	// bound lies in the future. 0 means stale (see threadUnit.touch);
+	// nextWake recomputes stale bounds. live has bit i set unless TU i's
+	// bound is neverWake, so the per-cycle scans (step, nextWake) visit
+	// only the TUs that can have work; NumTUs ≤ 63 fits one word.
+	wake []uint64
+	live uint64
 
 	cycle      uint64
 	halted     bool
@@ -228,6 +234,8 @@ func New(cfg Config, prog *isa.Program) (*Machine, error) {
 	ccfg := cfg.Core
 	ccfg.SeqLoops = m.seqLoops
 	m.tus = make([]threadUnit, cfg.NumTUs)
+	m.wake = make([]uint64, cfg.NumTUs) // all stale: every TU steps once
+	m.live = 1<<uint(cfg.NumTUs) - 1
 	for id := 0; id < cfg.NumTUs; id++ {
 		tu := &m.tus[id]
 		tu.init(m, id)
@@ -365,17 +373,15 @@ func (m *Machine) step() {
 	}
 	if !m.livelocked {
 		m.hier.BeginCycle(m.cycle)
-		// A TU whose cached wake bound lies in the future would step as a
-		// no-op, so it sleeps. Under chaos every TU steps, so each core's
-		// per-step fault draws are those of the stepped clock.
-		sleep := !m.DisableSkip && m.Chaos == nil
-		for i := range m.tus {
-			tu := &m.tus[i]
-			if sleep && tu.wakeAt > m.cycle {
-				continue
+		if !m.DisableSkip && m.Chaos == nil {
+			m.stepLive()
+		} else {
+			// Under chaos every TU steps, so each core's per-step fault
+			// draws are those of the stepped clock.
+			for i := range m.tus {
+				m.tus[i].step(m.cycle)
+				m.tus[i].touch()
 			}
-			tu.step(m.cycle)
-			tu.touch()
 		}
 		m.tryStartPending()
 		for woken := m.hier.Tick(m.cycle); woken != 0; woken &= woken - 1 {
@@ -383,6 +389,22 @@ func (m *Machine) step() {
 		}
 	}
 	m.endCycle()
+}
+
+// stepLive steps the live TUs whose wake bound is due, in ascending TU
+// order; a TU whose bound lies in the future would step as a no-op, so it
+// sleeps. The live set is re-read after each TU, so a TU that an earlier
+// one touches this cycle still steps in it, as in a sweep over every TU.
+func (m *Machine) stepLive() {
+	for rest := m.live; rest != 0; {
+		i := bits.TrailingZeros64(rest)
+		if m.wake[i] <= m.cycle {
+			tu := &m.tus[i]
+			tu.step(m.cycle)
+			tu.touch()
+		}
+		rest = m.live &^ (2<<uint(i) - 1)
+	}
 }
 
 // endCycle advances the clock: the parallel-cycle counter, the cycle
@@ -437,16 +459,21 @@ func (m *Machine) skipIdle(wdDeadline uint64) {
 // nextWake returns the earliest cycle after the just-stepped cycle at which
 // any component of the machine could change state. It first refreshes every
 // stale per-TU bound (a TU that stepped, received a fill, or was touched),
-// so Machine.step can let each TU sleep until its own wake cycle.
+// so Machine.step can let each TU sleep until its own wake cycle, and drops
+// a TU whose bound becomes neverWake from the live set until it is touched.
 func (m *Machine) nextWake(cycle uint64) uint64 {
 	wake := m.hier.NextWake(cycle)
-	for i := range m.tus {
-		tu := &m.tus[i]
-		if tu.wakeAt <= cycle {
-			tu.wakeAt = tu.nextWake(cycle)
+	for rest := m.live; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		w := m.wake[i]
+		if w <= cycle {
+			if w = m.tus[i].nextWake(cycle); w == neverWake {
+				m.live &^= 1 << uint(i)
+			}
+			m.wake[i] = w
 		}
-		if tu.wakeAt < wake {
-			wake = tu.wakeAt
+		if w < wake {
+			wake = w
 		}
 	}
 	if pf := m.pending; pf != nil {

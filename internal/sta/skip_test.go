@@ -283,9 +283,10 @@ type auditCase struct {
 
 // TestWakeCacheAudit checks the per-TU wake cache's contract directly: a
 // thread unit that neither stepped nor was touched since its bound was
-// cached must still compute exactly that bound. A mutation of a TU from
-// outside its own step that forgets touch shows up here as a changed bound
-// even when it happens not to move a result. The loop below is Run's
+// cached must still compute exactly that bound, and one outside the live
+// set must compute neverWake. A mutation of a TU from outside its own step
+// that forgets touch shows up here as a changed bound even when it happens
+// not to move a result. The loop below is Run's
 // stepping loop with the audit between step and skip; the run must then
 // match the stepped clock.
 func TestWakeCacheAudit(t *testing.T) {
@@ -318,7 +319,8 @@ func TestWakeCacheAudit(t *testing.T) {
 				m.initSample()
 			}
 			m.tus[0].startMain()
-			slept := 0 // running TUs the step let sleep
+			slept := 0   // running TUs the step let sleep
+			dropped := 0 // TU-cycles spent outside the live set
 			for !m.halted && m.cycle < c.cfg.MaxCycles {
 				m.step()
 				if m.sampler != nil && !m.halted {
@@ -329,15 +331,25 @@ func TestWakeCacheAudit(t *testing.T) {
 				cyc := m.cycle - 1
 				for i := range m.tus {
 					tu := &m.tus[i]
-					if tu.wakeAt <= cyc {
-						continue // stale: recomputed by nextWake below
-					}
-					if tu.state == tuRun {
+					if tu.state == tuRun && m.wake[i] > cyc {
 						slept++
 					}
-					if w := tu.nextWake(cyc); w != tu.wakeAt {
+					if m.live&(1<<uint(i)) == 0 {
+						// Outside the live set: step never visits it, so
+						// only neverWake is a sound bound.
+						if w := tu.nextWake(cyc); w != neverWake {
+							t.Fatalf("cycle %d: tu%d (%s) is outside the live set but its state says wake %d: an outside change skipped touch",
+								cyc, tu.id, tuStateNames[tu.state], w)
+						}
+						dropped++
+						continue
+					}
+					if m.wake[i] <= cyc {
+						continue // stale: recomputed by nextWake below
+					}
+					if w := tu.nextWake(cyc); w != m.wake[i] {
 						t.Fatalf("cycle %d: tu%d (%s) cached wake %d, state now says %d: an outside change skipped touch",
-							cyc, tu.id, tuStateNames[tu.state], tu.wakeAt, w)
+							cyc, tu.id, tuStateNames[tu.state], m.wake[i], w)
 					}
 				}
 				if !m.halted {
@@ -349,6 +361,9 @@ func TestWakeCacheAudit(t *testing.T) {
 			}
 			if slept == 0 {
 				t.Error("no running thread unit ever slept: the audit checked nothing")
+			}
+			if dropped == 0 {
+				t.Error("no thread unit ever left the live set: the live-set check checked nothing")
 			}
 			ref, err := New(c.cfg, c.prog)
 			if err != nil {

@@ -38,17 +38,15 @@ type threadUnit struct {
 	lastWrong   uint64 // last observed wrong-thread commit count
 	parCommits  uint64
 	startedAt   uint64 // cycle the current thread began (metrics lifetime)
-
-	// wakeAt caches nextWake: Machine.step skips this TU while the bound is
-	// in the future. 0 means stale: the TU stepped, received a fill, or was
-	// touched by another TU (touch), so it steps next cycle and the bound
-	// is recomputed (Machine.nextWake).
-	wakeAt uint64
 }
 
-// touch invalidates the cached wake bound after another TU, the fork
-// logic, or the sampler changed this TU's state from outside its own step.
-func (tu *threadUnit) touch() { tu.wakeAt = 0 }
+// touch invalidates the TU's cached wake bound (Machine.wake) and puts it
+// in the live set: it stepped, received a fill, or another TU, the fork
+// logic or the sampler changed its state from outside its own step.
+func (tu *threadUnit) touch() {
+	tu.m.wake[tu.id] = 0
+	tu.m.live |= 1 << uint(tu.id)
+}
 
 // init prepares a zero-valued thread unit in place. Thread units live in
 // the machine's value slice, so they are initialized where they sit rather
@@ -402,7 +400,7 @@ const neverWake = ^uint64(0)
 
 // nextWake returns the earliest future cycle at which stepping this TU
 // could change state, given cycle was just stepped and nothing outside the
-// TU touches it first (see Machine.skipIdle and threadUnit.wakeAt).
+// TU touches it first (see Machine.skipIdle and Machine.wake).
 func (tu *threadUnit) nextWake(cycle uint64) uint64 {
 	wake := uint64(neverWake)
 	switch tu.state {
