@@ -48,6 +48,9 @@ type Counts struct {
 // the package-level interpreter (see the package comment); both run on this
 // engine, which is what keeps the golden model and the fast-forward path
 // from ever diverging.
+//
+// The engine decodes Prog the first time StepN runs on it, so a program
+// must not be modified once an engine has stepped it.
 type Engine struct {
 	Prog *isa.Program
 	Mem  *memimg.Image
@@ -70,6 +73,11 @@ type Engine struct {
 	Counts Counts
 
 	lastBlock int
+
+	// uops is isa.DecodeUops of decoded.Insts; its trailing HALT sentinel
+	// stands in for every out-of-range pc.
+	uops    []isa.Uop
+	decoded *isa.Program
 }
 
 // Reset points the engine at pc with a clean region state, keeping the
@@ -85,21 +93,34 @@ func (e *Engine) Reset(pc int) {
 // StepN executes up to n dynamic instructions, stopping early on HALT or a
 // malformed program. It returns the number of instructions executed. The
 // engine may be called again to continue (unless Halted).
+//
+// Dispatch is one dense switch on the decoded op, which the compiler lowers
+// to a jump table. The integer operations are written out in their own
+// arms; the FP operations call isa.EvalOp. TestEngineMatchesEvalOp holds
+// both to the core's single definition in isa.
 func (e *Engine) StepN(n int64) (int64, error) {
 	if e.Halted || n <= 0 {
 		return 0, nil
 	}
+	if e.decoded != e.Prog {
+		e.uops = isa.DecodeUops(e.Prog.Insts)
+		e.decoded = e.Prog
+	}
 	var (
-		p      = e.Prog
-		img    = e.Mem
-		ir     = e.Int
-		fr     = e.FP
-		pc     = e.PC
-		forkTo = e.ForkTo
-		inPar  = e.InPar
-		done   int64
-		hooks  = e.Hooks
-		shift  = uint(0)
+		uops      = e.uops
+		halt      = uint(len(uops) - 1) // the HALT sentinel
+		img       = e.Mem
+		ir        = e.Int
+		fr        = e.FP
+		pc        = e.PC
+		forkTo    = e.ForkTo
+		inPar     = e.InPar
+		lastBlock = e.lastBlock
+		hooks     = e.Hooks
+		shift     = uint(0)
+		done      int64
+		c         Counts
+		err       error
 	)
 	trackBlocks := hooks.Block != nil && e.BlockPCs > 0
 	if trackBlocks {
@@ -107,110 +128,245 @@ func (e *Engine) StepN(n int64) (int64, error) {
 			shift++
 		}
 	}
-	defer func() {
-		e.PC = pc
-		e.ForkTo = forkTo
-		e.InPar = inPar
-		e.Counts.Insts += done
-	}()
+loop:
 	for done < n {
-		in := p.At(pc)
+		u := &uops[min(uint(pc), halt)]
 		done++
 		if inPar {
-			e.Counts.ParInsts++
+			c.ParInsts++
 		}
 		if trackBlocks {
-			if b := pc >> shift; b != e.lastBlock {
-				e.lastBlock = b
+			if b := pc >> shift; b != lastBlock {
+				lastBlock = b
 				hooks.Block(pc)
 			}
 		}
 		next := pc + 1
-		switch {
-		case in.Op == isa.HALT:
+		var taken bool
+		switch u.Op {
+		case isa.NOP, isa.TSAGD, isa.TSA:
+		case isa.HALT:
 			e.Halted = true
-			return done, nil
-		case in.Op == isa.NOP:
-		case in.Op == isa.BEGIN:
-			inPar = true
-			forkTo = -1
-		case in.Op == isa.FORK:
-			forkTo = int(in.Imm)
-			e.Counts.Forks++
-		case in.Op == isa.TSAGD:
-		case in.Op == isa.TSA:
-		case in.Op == isa.THEND:
-			if forkTo < 0 {
-				return done, fmt.Errorf("interp: THEND at pc %d with no preceding FORK", pc)
+			break loop
+
+		case isa.ADD:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] + ir[u.Rs2]
 			}
-			next = forkTo
-		case in.Op == isa.ABORT:
-			inPar = false
-			forkTo = -1
-		case in.Op == isa.LD:
-			e.Counts.Loads++
-			addr := isa.EffAddr(in, ir[in.Rs1])
+		case isa.SUB:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] - ir[u.Rs2]
+			}
+		case isa.MUL:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] * ir[u.Rs2]
+			}
+		case isa.DIV:
+			if u.Rd != 0 {
+				var q int64
+				if d := ir[u.Rs2]; d != 0 {
+					q = ir[u.Rs1] / d
+				}
+				ir[u.Rd] = q
+			}
+		case isa.REM:
+			if u.Rd != 0 {
+				var r int64
+				if d := ir[u.Rs2]; d != 0 {
+					r = ir[u.Rs1] % d
+				}
+				ir[u.Rd] = r
+			}
+		case isa.AND:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] & ir[u.Rs2]
+			}
+		case isa.OR:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] | ir[u.Rs2]
+			}
+		case isa.XOR:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] ^ ir[u.Rs2]
+			}
+		case isa.SLL:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] << (uint64(ir[u.Rs2]) & 63)
+			}
+		case isa.SRL:
+			if u.Rd != 0 {
+				ir[u.Rd] = int64(uint64(ir[u.Rs1]) >> (uint64(ir[u.Rs2]) & 63))
+			}
+		case isa.SRA:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] >> (uint64(ir[u.Rs2]) & 63)
+			}
+		case isa.SLT:
+			if u.Rd != 0 {
+				ir[u.Rd] = b2i(ir[u.Rs1] < ir[u.Rs2])
+			}
+		case isa.SLTU:
+			if u.Rd != 0 {
+				ir[u.Rd] = b2i(uint64(ir[u.Rs1]) < uint64(ir[u.Rs2]))
+			}
+		case isa.ADDI:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] + u.Imm
+			}
+		case isa.ANDI:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] & u.Imm
+			}
+		case isa.ORI:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] | u.Imm
+			}
+		case isa.XORI:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] ^ u.Imm
+			}
+		case isa.SLLI:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] << (uint64(u.Imm) & 63)
+			}
+		case isa.SRLI:
+			if u.Rd != 0 {
+				ir[u.Rd] = int64(uint64(ir[u.Rs1]) >> (uint64(u.Imm) & 63))
+			}
+		case isa.SRAI:
+			if u.Rd != 0 {
+				ir[u.Rd] = ir[u.Rs1] >> (uint64(u.Imm) & 63)
+			}
+		case isa.SLTI:
+			if u.Rd != 0 {
+				ir[u.Rd] = b2i(ir[u.Rs1] < u.Imm)
+			}
+		case isa.LI:
+			if u.Rd != 0 {
+				ir[u.Rd] = u.Imm
+			}
+
+		case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FNEG, isa.FABS,
+			isa.FMIN, isa.FMAX, isa.FLT, isa.FLE, isa.I2F, isa.F2I, isa.FLI:
+			iv, fv := isa.EvalOp(u.Op, u.Imm, ir[u.Rs1], ir[u.Rs2], fr[u.Rs1], fr[u.Rs2])
+			if u.Flags&isa.UFPDest != 0 {
+				fr[u.Rd] = fv
+			} else if u.Rd != 0 {
+				ir[u.Rd] = iv
+			}
+
+		case isa.LD:
+			c.Loads++
+			addr := uint64(ir[u.Rs1] + u.Imm)
 			if hooks.Load != nil {
 				hooks.Load(addr)
 			}
-			if in.Rd != 0 {
-				ir[in.Rd] = img.ReadWord(addr)
+			if u.Rd != 0 {
+				ir[u.Rd] = img.ReadWord(addr)
 			}
-		case in.Op == isa.FLD:
-			e.Counts.Loads++
-			addr := isa.EffAddr(in, ir[in.Rs1])
+		case isa.FLD:
+			c.Loads++
+			addr := uint64(ir[u.Rs1] + u.Imm)
 			if hooks.Load != nil {
 				hooks.Load(addr)
 			}
-			fr[in.Rd] = img.ReadFloat(addr)
-		case in.Op == isa.ST || in.Op == isa.TST:
-			e.Counts.Stores++
-			addr := isa.EffAddr(in, ir[in.Rs1])
-			img.WriteWord(addr, ir[in.Rs2])
+			fr[u.Rd] = img.ReadFloat(addr)
+		case isa.ST, isa.TST:
+			c.Stores++
+			addr := uint64(ir[u.Rs1] + u.Imm)
+			img.WriteWord(addr, ir[u.Rs2])
 			if hooks.Store != nil {
 				hooks.Store(addr)
 			}
-		case in.Op == isa.FST:
-			e.Counts.Stores++
-			addr := isa.EffAddr(in, ir[in.Rs1])
-			img.WriteFloat(addr, fr[in.Rs2])
+		case isa.FST:
+			c.Stores++
+			addr := uint64(ir[u.Rs1] + u.Imm)
+			img.WriteFloat(addr, fr[u.Rs2])
 			if hooks.Store != nil {
 				hooks.Store(addr)
 			}
-		case in.Op.IsBranch():
-			e.Counts.Branches++
-			taken := isa.BranchTaken(in, ir[in.Rs1], ir[in.Rs2])
-			if taken {
-				e.Counts.Taken++
-				next = int(in.Imm)
-			}
-			if hooks.Branch != nil {
-				hooks.Branch(pc, taken)
-			}
-		case in.Op == isa.JMP:
-			next = int(in.Imm)
-		case in.Op == isa.JAL:
-			if in.Rd != 0 {
-				ir[in.Rd] = int64(pc + 1)
+
+		case isa.BEQ:
+			taken = ir[u.Rs1] == ir[u.Rs2]
+			goto branch
+		case isa.BNE:
+			taken = ir[u.Rs1] != ir[u.Rs2]
+			goto branch
+		case isa.BLT:
+			taken = ir[u.Rs1] < ir[u.Rs2]
+			goto branch
+		case isa.BGE:
+			taken = ir[u.Rs1] >= ir[u.Rs2]
+			goto branch
+		case isa.BLTU:
+			taken = uint64(ir[u.Rs1]) < uint64(ir[u.Rs2])
+			goto branch
+		case isa.BGEU:
+			taken = uint64(ir[u.Rs1]) >= uint64(ir[u.Rs2])
+			goto branch
+		case isa.JMP:
+			next = int(u.Imm)
+		case isa.JAL:
+			if u.Rd != 0 {
+				ir[u.Rd] = int64(pc + 1)
 			}
 			if hooks.Call != nil {
 				hooks.Call(pc + 1)
 			}
-			next = int(in.Imm)
-		case in.Op == isa.JR:
-			next = int(ir[in.Rs1])
+			next = int(u.Imm)
+		case isa.JR:
+			next = int(ir[u.Rs1])
 			if hooks.Ret != nil {
 				hooks.Ret()
 			}
-		default:
-			iv, fv := isa.Eval(in, ir[in.Rs1], ir[in.Rs2], fr[in.Rs1], fr[in.Rs2])
-			if in.Op.FPDest() {
-				fr[in.Rd] = fv
-			} else if in.Rd != 0 {
-				ir[in.Rd] = iv
+
+		case isa.BEGIN:
+			inPar = true
+			forkTo = -1
+		case isa.FORK:
+			forkTo = int(u.Imm)
+			c.Forks++
+		case isa.THEND:
+			if forkTo < 0 {
+				err = fmt.Errorf("interp: THEND at pc %d with no preceding FORK", pc)
+				break loop
 			}
+			next = forkTo
+		case isa.ABORT:
+			inPar = false
+			forkTo = -1
+		}
+		pc = next
+		continue
+
+	branch:
+		c.Branches++
+		if taken {
+			c.Taken++
+			next = int(u.Imm)
+		}
+		if hooks.Branch != nil {
+			hooks.Branch(pc, taken)
 		}
 		pc = next
 	}
-	return done, nil
+	e.PC = pc
+	e.ForkTo = forkTo
+	e.InPar = inPar
+	e.lastBlock = lastBlock
+	e.Counts.Insts += done
+	e.Counts.Loads += c.Loads
+	e.Counts.Stores += c.Stores
+	e.Counts.Branches += c.Branches
+	e.Counts.Taken += c.Taken
+	e.Counts.ParInsts += c.ParInsts
+	e.Counts.Forks += c.Forks
+	return done, err
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

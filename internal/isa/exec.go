@@ -5,9 +5,11 @@ import "math"
 // Eval computes the result of a non-memory, non-control operation given its
 // source operand values. Integer sources arrive in s1/s2, FP sources in
 // f1/f2 (per SrcRegs). It returns the integer result and the FP result; the
-// caller keeps whichever file the destination lives in (Op.FPDest). Both the
-// out-of-order core's execute stage and the functional reference interpreter
-// use this single definition, so their semantics agree by construction.
+// caller keeps whichever file the destination lives in (Op.FPDest). The
+// out-of-order core's execute stage uses this single definition. The
+// functional interpreter calls it for the FP ops and writes the integer ops
+// out for speed; interp's TestEngineMatchesEvalOp holds those to it on
+// every opcode.
 func Eval(in Inst, s1, s2 int64, f1, f2 float64) (int64, float64) {
 	return EvalOp(in.Op, in.Imm, s1, s2, f1, f2)
 }

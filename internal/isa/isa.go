@@ -4,9 +4,10 @@
 // target stores, and stage markers).
 //
 // Instructions are kept in decoded form (Inst) for simulation speed, and
-// the timing core predecodes them once more into Uops that carry every op
-// property it consults (see uop.go); a fixed-width binary encoding is
-// provided for tooling and tests (see encode.go). Branch and jump targets are absolute instruction indices,
+// the timing core and the functional interpreter predecode them once more
+// into Uops that carry every op property they consult (see uop.go); a
+// fixed-width binary encoding is provided for tooling and tests (see
+// encode.go). Branch and jump targets are absolute instruction indices,
 // resolved by the assembler. Data addresses are byte addresses into the
 // simulated data memory.
 package isa

@@ -25,10 +25,10 @@ const (
 	UMem                      // occupies a load/store queue entry
 )
 
-// Uop is an instruction decoded once for the timing core: the operation,
-// its source registers as SrcRegs reports them (zero when unused), the raw
-// destination register and immediate, and every op property the pipeline
-// consults, packed into 16 bytes.
+// Uop is an instruction decoded once for the timing core and the functional
+// interpreter: the operation, its source registers as SrcRegs reports them
+// (zero when unused), the raw destination register and immediate, and every
+// op property the pipeline consults, packed into 16 bytes.
 type Uop struct {
 	Op       Op
 	Rd       uint8

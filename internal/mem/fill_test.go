@@ -121,10 +121,10 @@ func TestFillDemandVictimCapture(t *testing.T) {
 func TestFillWrongRouting(t *testing.T) {
 	// Where a wrong-execution fill lands, per configuration.
 	cases := []struct {
-		name           string
-		mut            func(*Config)
-		inL1, inSide   bool
-		origin         string // expected nonzero spec origin, "" = dropped
+		name         string
+		mut          func(*Config)
+		inL1, inSide bool
+		origin       string // expected nonzero spec origin, "" = dropped
 	}{
 		{"wec", func(c *Config) { c.Side = SideWEC }, false, true, "wrong_path"},
 		{"pb", func(c *Config) { c.Side = SidePB }, false, true, "wrong_path"},

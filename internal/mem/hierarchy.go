@@ -35,6 +35,12 @@ type Hierarchy struct {
 	fills   []fill // binary min-heap ordered by at
 	chaos   *chaos.Injector
 
+	// warmBlocks holds the blocks WarmSequentialStore stored from TU
+	// warmSrc whose refresh in the other TUs' L1s FlushWarmStores has not
+	// yet applied (warm.go).
+	warmBlocks blockSet
+	warmSrc    int
+
 	// epoch counts BeginCycle calls; a DUnit whose portEpoch lags it
 	// clears its port count on first use (DUnit.ports).
 	epoch uint64
@@ -318,6 +324,7 @@ func (h *Hierarchy) completeDRAM(cycle uint64, l2block uint64) {
 
 // Reset restores the hierarchy to power-on state.
 func (h *Hierarchy) Reset() {
+	h.warmBlocks.reset()
 	h.l2.Reset()
 	h.l2MSHR.Reset()
 	for i := range h.dunits {

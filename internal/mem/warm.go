@@ -12,6 +12,18 @@ package mem
 // memory), which is the standard SMARTS-style functional-warming
 // approximation; the per-window detailed warmup on top of it absorbs the
 // residual state error.
+//
+// Flush contract: WarmSequentialStore defers the sequential-mode refresh
+// of the other TUs' L1 copies. It records each distinct stored block, and
+// FlushWarmStores applies the refreshes. The deferral is exact while the
+// other TUs' L1 residency cannot change, which holds for a whole
+// fast-forward leg: every other TU is idle with a quiet core, no warming
+// entry point touches another TU's L1, and nothing invalidates an L1 line
+// from below. A refresh only sets the dirty bit of a resident line (no LRU
+// or flag change), so applying it once per block at the end of the leg
+// leaves every L1 exactly as refreshing on every store would. Callers must
+// therefore flush before anything else touches the hierarchy: the sampled
+// machine flushes on every exit from a fast-forward leg.
 
 // WarmLoad replays one fast-forwarded load into the tag arrays.
 func (d *DUnit) WarmLoad(addr uint64) {
@@ -67,12 +79,6 @@ func (d *DUnit) warmInsertL1(block uint64, dirty bool) {
 	}
 }
 
-// warmUpdate mirrors the sequential-mode update protocol functionally: a
-// resident copy is refreshed in place (no bus-traffic accounting).
-func (d *DUnit) warmUpdate(addr uint64) {
-	d.l1.SetDirty(d.l1.BlockAddr(addr))
-}
-
 // WarmFetch replays one fast-forwarded instruction-block reference into
 // the I-cache (pc granularity; callers typically invoke it once per block
 // crossing, not per instruction).
@@ -102,15 +108,89 @@ func (h *Hierarchy) warmWriteback(block uint64) {
 }
 
 // WarmSequentialStore replays a fast-forwarded store executed in
-// sequential mode: the issuing TU's caches take the store, every other
-// TU's resident copy is refreshed (the §3.2.2 update protocol, minus the
-// bus statistics).
+// sequential mode: the issuing TU's caches take the store at once, and
+// every other TU's resident copy is owed a refresh (the §3.2.2 update
+// protocol, minus the bus statistics). The refresh is recorded, not
+// applied: FlushWarmStores applies it, and must run before anything but
+// srcTU's warming touches the hierarchy (see the flush contract above). A
+// store from another TU while refreshes are pending is such a contract
+// violation and panics.
 func (h *Hierarchy) WarmSequentialStore(srcTU int, addr uint64) {
+	d := &h.dunits[srcTU]
+	d.WarmStore(addr)
+	if len(h.dunits) == 1 {
+		return
+	}
+	if srcTU != h.warmSrc {
+		if len(h.warmBlocks.list) != 0 {
+			panic("mem: WarmSequentialStore from a new thread unit before FlushWarmStores")
+		}
+		h.warmSrc = srcTU
+	}
+	if h.warmBlocks.add(d.l1.BlockAddr(addr)) {
+		// A full set is flushed early, which is as exact as flushing at the
+		// end of the leg, so the set never grows past its first allocation.
+		h.FlushWarmStores()
+	}
+}
+
+// FlushWarmStores applies the peer refreshes WarmSequentialStore recorded:
+// each distinct block is marked dirty in every other TU's L1 that holds
+// it. It is a no-op when nothing is pending.
+func (h *Hierarchy) FlushWarmStores() {
+	blocks := h.warmBlocks.list
+	if len(blocks) == 0 {
+		return
+	}
 	for tu := range h.dunits {
-		if tu == srcTU {
-			h.dunits[tu].WarmStore(addr)
-		} else {
-			h.dunits[tu].warmUpdate(addr)
+		if tu == h.warmSrc {
+			continue
+		}
+		l1 := h.dunits[tu].l1
+		for _, b := range blocks {
+			l1.SetDirty(b)
 		}
 	}
+	h.warmBlocks.reset()
+}
+
+// PendingWarmStores reports how many distinct blocks' peer refreshes are
+// recorded and not yet flushed.
+func (h *Hierarchy) PendingWarmStores() int { return len(h.warmBlocks.list) }
+
+// blockSet is a set of block addresses: an open-addressed table of block+1
+// (zero marks a free slot) beside the list of members. Blocks are aligned, so block+1 never wraps to zero.
+type blockSet struct {
+	slots []uint64
+	list  []uint64
+}
+
+// blockSetBits sizes the table; it holds at most half as many blocks. A
+// fast-forward leg of the figure workloads stores to fewer than 256
+// distinct blocks, so an early flush is rare.
+const blockSetBits = 10
+
+// add inserts block and reports whether the set is now full.
+func (s *blockSet) add(block uint64) (full bool) {
+	if s.slots == nil {
+		s.slots = make([]uint64, 1<<blockSetBits)
+		s.list = make([]uint64, 0, 1<<(blockSetBits-1))
+	}
+	mask := uint64(len(s.slots) - 1)
+	key := block + 1
+	for i := (block * 0x9E3779B97F4A7C15) >> (64 - blockSetBits); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
+			return false
+		case 0:
+			s.slots[i] = key
+			s.list = append(s.list, block)
+			return len(s.list) == cap(s.list)
+		}
+	}
+}
+
+func (s *blockSet) reset() {
+	clear(s.slots)
+	s.list = s.list[:0]
 }

@@ -229,6 +229,7 @@ func (m *Machine) fastForward(ctx context.Context, tu *threadUnit, ff uint64) er
 			case <-done:
 				// Leave the machine resumable for the snapshot, account what
 				// ran, and surface the cancellation like the run loop does.
+				m.hier.FlushWarmStores()
 				tu.core.ContinueAt(eng.PC)
 				m.sampler.AddFF(executed)
 				m.progress += executed
@@ -240,6 +241,9 @@ func (m *Machine) fastForward(ctx context.Context, tu *threadUnit, ff uint64) er
 			}
 		}
 	}
+	// The leg is over: the other TUs' L1s take the refreshes the leg's
+	// stores deferred (mem.Hierarchy.WarmSequentialStore).
+	m.hier.FlushWarmStores()
 	m.sampler.AddFF(executed)
 	m.progress += executed // fast-forwarded instructions are forward progress
 	if eng.Halted {

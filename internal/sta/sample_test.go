@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -295,5 +296,63 @@ func TestFastForwardZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fast-forward allocates %.3f allocs per 10k-instruction chunk, want 0", allocs)
+	}
+}
+
+// TestFastForwardFlushesPeerRefreshes pins the flush contract of
+// mem.Hierarchy.WarmSequentialStore from the machine's side: every exit
+// from a fast-forward leg (target reached, context cancelled, program
+// halted) leaves no peer refresh pending. A missed flush changes no
+// simulated cycle count, so only this check would notice it.
+func TestFastForwardFlushesPeerRefreshes(t *testing.T) {
+	b := asm.New()
+	arr := b.Alloc("arr", 16<<10, 0)
+	b.Li(1, 0)
+	b.Li(2, 300_000)
+	b.Li(3, int64(arr))
+	b.Label("loop")
+	b.OpI(isa.ANDI, 4, 1, 2047)
+	b.OpI(isa.SLLI, 4, 4, 3)
+	b.Op3(isa.ADD, 4, 4, 3)
+	b.St(1, 0, 4)
+	b.OpI(isa.ADDI, 1, 1, 1)
+	b.Br(isa.BLT, 1, 2, "loop")
+	b.Halt()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cfgTU(2), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Sample = sample.Config{WarmupInsts: 1000, MeasureInsts: 1000, PeriodInsts: 1 << 40}
+	m.initSample()
+	m.tus[0].startMain()
+	tu := m.atSafepoint()
+	if tu == nil {
+		t.Fatal("a started machine is not at a safepoint")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, leg := range []struct {
+		name string
+		ctx  context.Context
+		ff   uint64
+	}{
+		{"target", context.Background(), 20_000},
+		{"cancelled", cancelled, 3 * ffChunk},
+		{"halted", context.Background(), 1 << 40},
+	} {
+		err := m.fastForward(leg.ctx, tu, leg.ff)
+		if (err != nil) != (leg.ctx == cancelled) {
+			t.Fatalf("%s: fastForward error %v", leg.name, err)
+		}
+		if n := m.hier.PendingWarmStores(); n != 0 {
+			t.Errorf("%s: %d peer refreshes still pending after the leg", leg.name, n)
+		}
+	}
+	if !m.halted {
+		t.Fatal("the last leg did not run the program to its end")
 	}
 }
