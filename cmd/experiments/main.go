@@ -17,10 +17,12 @@
 // Robustness (see README "Robustness"): runs are supervised — a failed
 // cell is quarantined and the rest of the suite still completes; Ctrl-C
 // stops cleanly after flushing finished work. With a ledger, completed
-// simulations are journaled as they finish and -resume replays them:
+// simulations are journaled as they finish; -resume replays the ledger
+// and answers every detailed cell the -archive already holds:
 //
 //	experiments -run all -ledger results.jsonl
 //	experiments -run all -ledger results.jsonl -resume
+//	experiments -run all -archive runs/ -resume
 //	experiments -run fig10 -timeout 2m
 //	experiments -run fig10 -chaos-seed 7 -chaos-panic 1e-7
 //
@@ -37,15 +39,6 @@
 //
 //	experiments -run wgen -wgen-seed 7 -wgen-count 200 -wgen-corpus corpus/
 //	experiments -run wgen -wgen-genome corpus/g0123456789abcdef.wgen
-//
-// Distributed sweeps (see README "Distributed sweeps"): -fleet-listen
-// serves cells to worker processes under time-bounded leases; workers are
-// `experiments -fleet-connect` (or `stasim -fleet-connect`). With no
-// workers the sweep degrades gracefully to the in-process path:
-//
-//	experiments -run fig11 -fleet-listen 127.0.0.1:9381 -ledger results.jsonl -archive runs/
-//	experiments -fleet-connect http://127.0.0.1:9381 -fleet-slots 2
-//	experiments -fleet-connect http://127.0.0.1:9381 -fleet-chaos-seed 7 -fleet-chaos-drop 0.05
 package main
 
 import (
@@ -61,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/runstore"
 	"repro/internal/sample"
@@ -98,28 +90,13 @@ func run() int {
 
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit per simulation (0 = none)")
 		ledgerPath = flag.String("ledger", "", "journal completed simulations to this JSONL file")
-		resume     = flag.Bool("resume", false, "preload journaled results from -ledger before running")
+		resume     = flag.Bool("resume", false, "preload finished results from -ledger and detailed cells from -archive before running")
 		archiveDir = flag.String("archive", "", "archive one manifest per completed cell into this content-addressed run archive (query with simql)")
 
 		wgenSeed   = flag.Uint64("wgen-seed", 1, "search seed for -run wgen (fixes the whole synthesis trajectory)")
 		wgenCount  = flag.Int("wgen-count", 200, "generated programs per -run wgen invocation")
 		wgenGenome = flag.String("wgen-genome", "", "run one synthesized workload (canonical line or .wgen file) instead of the search")
 		wgenCorpus = flag.String("wgen-corpus", "", "write coverage-adding (and any failing) genomes into this directory")
-
-		fleetListen    = flag.String("fleet-listen", "", "serve the fleet coordinator protocol on this address and distribute cells to connected workers")
-		fleetLease     = flag.Duration("fleet-lease", 0, "fleet lease TTL (missed heartbeats past this revoke a worker's cell; 0 = 5s)")
-		fleetFallback  = flag.Duration("fleet-fallback", 0, "fall back to in-process simulation if no worker joins within this long (0 = 3s)")
-		fleetFailLimit = flag.Int("fleet-fail-limit", 0, "quarantine a cell after classified failures from this many distinct workers (0 = 3)")
-		fleetConnect   = flag.String("fleet-connect", "", "run as a fleet worker against this coordinator URL instead of running experiments")
-		fleetSlots     = flag.Int("fleet-slots", 1, "concurrent cells a fleet worker simulates")
-		fleetName      = flag.String("fleet-name", "", "stable fleet worker name (default <hostname>-<pid>)")
-
-		fleetChaosSeed  = flag.Uint64("fleet-chaos-seed", 0, "seed for the worker's network fault injector")
-		fleetChaosDrop  = flag.Float64("fleet-chaos-drop", 0, "per-exchange probability of discarding an HTTP response after delivery")
-		fleetChaosDelay = flag.Float64("fleet-chaos-delay", 0, "per-exchange probability of stalling an HTTP exchange")
-		fleetChaosDup   = flag.Float64("fleet-chaos-dup", 0, "per-exchange probability of delivering a request twice")
-		fleetChaosTrunc = flag.Float64("fleet-chaos-trunc", 0, "per-exchange probability of truncating a response body mid-JSON")
-		fleetChaosKill  = flag.Float64("fleet-chaos-kill", 0, "per-claim-tick probability of abruptly killing the worker incarnation (leases expire, coordinator reassigns)")
 
 		chaosSeed     = flag.Uint64("chaos-seed", 0, "seed for the deterministic fault injector")
 		chaosPanic    = flag.Float64("chaos-panic", 0, "per-cycle machine-step panic probability")
@@ -143,30 +120,6 @@ func run() int {
 
 	if *spanTimeline != "" {
 		if err := convertSpans(*spanTimeline); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *fleetConnect != "" {
-		// Worker mode: the process is a stateless simulation slave; the
-		// coordinator owns the plan, the ledger, and the archive.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		err := fleet.RunWorker(ctx, fleet.WorkerConfig{
-			URL:   *fleetConnect,
-			Name:  *fleetName,
-			Slots: *fleetSlots,
-			Chaos: chaos.Config{
-				Seed:       *fleetChaosSeed,
-				NetDrop:    *fleetChaosDrop,
-				NetDelay:   *fleetChaosDelay,
-				NetDup:     *fleetChaosDup,
-				NetTrunc:   *fleetChaosTrunc,
-				WorkerKill: *fleetChaosKill,
-			},
-		})
-		if err != nil && !errors.Is(err, context.Canceled) {
 			return fail(err)
 		}
 		return 0
@@ -239,8 +192,8 @@ func run() int {
 		r.AttribDir = *attribDir
 	}
 
-	if *resume && *ledgerPath == "" {
-		return fail(fmt.Errorf("-resume requires -ledger"))
+	if *resume && *ledgerPath == "" && *archiveDir == "" {
+		return fail(fmt.Errorf("-resume requires -ledger or -archive"))
 	}
 	if *archiveDir != "" {
 		st, err := runstore.Open(*archiveDir)
@@ -253,6 +206,13 @@ func run() int {
 		r.ArchiveRev = runstore.GitRev()
 		if tr != nil {
 			tr.SetArchive(st.Root())
+		}
+		if *resume {
+			archived := harness.ArchivedResults(st, *scale)
+			r.Prefill(archived)
+			if *verbose {
+				fmt.Fprintf(os.Stderr, "resume: preloaded %d archived results from %s\n", len(archived), *archiveDir)
+			}
 		}
 	}
 	if *ledgerPath != "" {
@@ -276,31 +236,8 @@ func run() int {
 		}
 	}
 
-	var coord *fleet.Coordinator
-	if *fleetListen != "" {
-		coord = fleet.NewCoordinator(fleet.Config{
-			Scale:         *scale,
-			LeaseTTL:      *fleetLease,
-			FallbackAfter: *fleetFallback,
-			FailLimit:     *fleetFailLimit,
-			Attrib:        r.Attrib || *runID == "wgen",
-			AttribTopN:    r.AttribTopN,
-			Timeout:       *timeout,
-			SimChaos:      r.Chaos,
-			Archive:       r.Archive,
-		})
-		if err := coord.Start(*fleetListen); err != nil {
-			return fail(err)
-		}
-		defer coord.Close()
-		r.Remote = coord.Submit
-		if tr != nil {
-			tr.SetFleetSource(coord.FleetCounts)
-		}
-	}
-
 	if *runID == "wgen" {
-		return runWgen(r, coord, wgenOptions{
+		return runWgen(r, wgenOptions{
 			seed:   *wgenSeed,
 			count:  *wgenCount,
 			genome: *wgenGenome,
@@ -375,8 +312,11 @@ func run() int {
 
 	if ctx.Err() != nil {
 		hint := ""
-		if *ledgerPath != "" {
+		switch {
+		case *ledgerPath != "":
 			hint = fmt.Sprintf("; resume with -ledger %s -resume", *ledgerPath)
+		case *archiveDir != "":
+			hint = fmt.Sprintf("; resume with -archive %s -resume", *archiveDir)
 		}
 		if tr != nil {
 			hint += fmt.Sprintf(" (telemetry run %s)", tr.ID)

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/attrib"
 	"repro/internal/config"
-	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -35,10 +34,7 @@ type wgenOptions struct {
 
 // runWgen executes the synthesis loop on an already-configured runner, so
 // -ledger, -archive, -chaos-*, -workers, and -telemetry-* compose with it.
-// With a fleet coordinator attached, each synthesized program's canonical
-// genome line is registered as its shard spec, so generated cells
-// distribute to workers like any benchmark.
-func runWgen(r *harness.Runner, coord *fleet.Coordinator, opts wgenOptions) int {
+func runWgen(r *harness.Runner, opts wgenOptions) int {
 	cfg := config.Main(8)
 	if err := config.Apply(config.WTHWPWEC, &cfg); err != nil {
 		return fail(err)
@@ -50,9 +46,6 @@ func runWgen(r *harness.Runner, coord *fleet.Coordinator, opts wgenOptions) int 
 	runOne := func(g wgen.Genome, p *isa.Program) (*stats.Sim, *attrib.Report, error) {
 		bench := g.BenchName()
 		r.RegisterProgram(bench, p)
-		if coord != nil {
-			coord.RegisterSpec(bench, g.Canonical())
-		}
 		res, err := r.Result(bench, cfg)
 		if err != nil {
 			return nil, nil, err

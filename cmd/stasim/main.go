@@ -31,12 +31,6 @@
 //	stasim -wgen-seed 7 -config wth-wp-wec
 //	stasim -wgen-genome corpus/g0123456789abcdef.wgen -config wth-wp-wec -attrib
 //	stasim -wgen-genome 'wgen1 seed=0x0000000000000007 win=2x8 ...'
-//
-// Distributed sweeps (see README "Distributed sweeps"): -fleet-connect
-// turns the process into a fleet worker that claims, simulates, and
-// returns cells for an `experiments -fleet-listen` coordinator:
-//
-//	stasim -fleet-connect http://127.0.0.1:9381 -fleet-slots 2
 package main
 
 import (
@@ -45,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -55,7 +48,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/attrib"
 	"repro/internal/config"
-	"repro/internal/fleet"
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/metrics"
@@ -108,10 +100,6 @@ func main() {
 
 		archiveDir = flag.String("archive", "", "archive this run's manifest into a content-addressed run archive (query with simql)")
 
-		fleetConnect = flag.String("fleet-connect", "", "run as a fleet worker against this coordinator URL instead of simulating locally")
-		fleetSlots   = flag.Int("fleet-slots", 1, "concurrent cells a fleet worker simulates")
-		fleetName    = flag.String("fleet-name", "", "stable fleet worker name (default <hostname>-<pid>)")
-
 		metricsOut  = flag.String("metrics", "", "write metrics JSON (counters, interval series, histograms) to this file")
 		metricsCSV  = flag.String("metrics-csv", "", "write the interval time series as CSV to this file")
 		timelineOut = flag.String("timeline", "", "write a Perfetto/chrome://tracing trace JSON to this file")
@@ -136,20 +124,6 @@ func main() {
 		fmt.Println("configurations:")
 		for _, n := range config.Names() {
 			fmt.Printf("  %s\n", n)
-		}
-		return
-	}
-
-	if *fleetConnect != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		err := fleet.RunWorker(ctx, fleet.WorkerConfig{
-			URL:   *fleetConnect,
-			Name:  *fleetName,
-			Slots: *fleetSlots,
-		})
-		if err != nil && !errors.Is(err, context.Canceled) {
-			fatal(err)
 		}
 		return
 	}

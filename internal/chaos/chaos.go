@@ -37,23 +37,6 @@ const (
 	// PointLedgerWrite fails a results-ledger append with a transient
 	// error, exercising the IO retry path.
 	PointLedgerWrite
-	// PointNetDrop discards an HTTP response on the fleet wire (the request
-	// still reaches the server, so side effects happen — the receiver must
-	// be idempotent).
-	PointNetDrop
-	// PointNetDelay stalls an HTTP exchange by NetDelaySleep, creating
-	// heartbeat and lease-expiry races.
-	PointNetDelay
-	// PointNetDup replays an HTTP request a second time before delivering
-	// the second response, exercising duplicate-delivery idempotency.
-	PointNetDup
-	// PointNetTrunc truncates an HTTP response body mid-JSON, so clients
-	// must treat parse failures as transient.
-	PointNetTrunc
-	// PointWorkerKill abruptly kills a fleet worker mid-cell: in-flight
-	// simulations are abandoned without a result, leases expire, and the
-	// coordinator must reassign.
-	PointWorkerKill
 	numPoints
 )
 
@@ -63,11 +46,6 @@ var pointNames = [numPoints]string{
 	PointLivelock:    "livelock",
 	PointSlowCycle:   "slow-cycle",
 	PointLedgerWrite: "ledger-write-fail",
-	PointNetDrop:     "net-drop",
-	PointNetDelay:    "net-delay",
-	PointNetDup:      "net-dup",
-	PointNetTrunc:    "net-trunc",
-	PointWorkerKill:  "worker-kill",
 }
 
 // String names the injection point.
@@ -92,36 +70,15 @@ type Config struct {
 	SlowCycle    float64
 	LedgerFail   float64
 
-	// Network fault probabilities, drawn once per HTTP exchange (or, for
-	// WorkerKill, once per heartbeat/claim tick). These drive the fleet
-	// protocol soak and never touch the simulator itself, so they are
-	// excluded from Enabled (see NetEnabled).
-	NetDrop    float64
-	NetDelay   float64
-	NetDup     float64
-	NetTrunc   float64
-	WorkerKill float64
-
 	// SlowCycleSleep is the wall-clock pause per SlowCycle hit
 	// (default 1ms).
 	SlowCycleSleep time.Duration
-	// NetDelaySleep is the wall-clock stall per NetDelay hit
-	// (default 50ms).
-	NetDelaySleep time.Duration
 }
 
-// Enabled reports whether any simulator-level point can fire (network
-// points are deliberately excluded: they change wire behaviour, never
-// simulated state).
+// Enabled reports whether any point can fire.
 func (c Config) Enabled() bool {
 	return c.MachinePanic > 0 || c.CorePanic > 0 || c.Livelock > 0 ||
 		c.SlowCycle > 0 || c.LedgerFail > 0
-}
-
-// NetEnabled reports whether any network-level point can fire.
-func (c Config) NetEnabled() bool {
-	return c.NetDrop > 0 || c.NetDelay > 0 || c.NetDup > 0 ||
-		c.NetTrunc > 0 || c.WorkerKill > 0
 }
 
 func (c Config) prob(p Point) float64 {
@@ -136,16 +93,6 @@ func (c Config) prob(p Point) float64 {
 		return c.SlowCycle
 	case PointLedgerWrite:
 		return c.LedgerFail
-	case PointNetDrop:
-		return c.NetDrop
-	case PointNetDelay:
-		return c.NetDelay
-	case PointNetDup:
-		return c.NetDup
-	case PointNetTrunc:
-		return c.NetTrunc
-	case PointWorkerKill:
-		return c.WorkerKill
 	}
 	return 0
 }
@@ -179,19 +126,15 @@ type Injector struct {
 	thresholds [numPoints]uint64
 	states     [numPoints]uint64
 	sleep      time.Duration
-	netSleep   time.Duration
 }
 
 // New derives a run-scoped injector from the suite configuration and a
 // salt (typically the harness memoization key), so each (bench, config)
 // cell draws an independent, reproducible fault stream.
 func New(cfg Config, salt string) *Injector {
-	in := &Injector{cfg: cfg, salt: salt, sleep: cfg.SlowCycleSleep, netSleep: cfg.NetDelaySleep}
+	in := &Injector{cfg: cfg, salt: salt, sleep: cfg.SlowCycleSleep}
 	if in.sleep <= 0 {
 		in.sleep = time.Millisecond
-	}
-	if in.netSleep <= 0 {
-		in.netSleep = 50 * time.Millisecond
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d", salt, cfg.Seed)
@@ -264,22 +207,6 @@ func (in *Injector) SlowCycle() {
 	if in.Hit(PointSlowCycle) {
 		time.Sleep(in.sleep)
 	}
-}
-
-// NetDelaySleep returns the configured per-hit network stall.
-func (in *Injector) NetDelaySleep() time.Duration {
-	if in == nil {
-		return 0
-	}
-	return in.netSleep
-}
-
-// Salt returns the injector's derivation salt ("" for nil).
-func (in *Injector) Salt() string {
-	if in == nil {
-		return ""
-	}
-	return in.salt
 }
 
 // FailWrite returns a transient error if the ledger-write point fires.

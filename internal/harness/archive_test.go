@@ -5,7 +5,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/chaos"
+	"repro/internal/config"
 	"repro/internal/runstore"
+	"repro/internal/sta"
+	"repro/internal/stats"
 )
 
 // TestArchiveManifestOnFreshCell: a runner with an archive attached writes
@@ -136,5 +140,160 @@ func TestArchiveResumeConvergesToOneManifestPerCell(t *testing.T) {
 			t.Errorf("duplicate cell key %s", m.CellKey)
 		}
 		seen[m.CellKey] = true
+	}
+}
+
+// TestResumeFromArchive: a sweep archived by one runner is answered in full
+// by a fresh runner prefilled from ArchivedResults. The second runner
+// panics on the first cycle of any simulation, so byte-identical tables
+// prove that no cell was simulated. Manifests a detailed runner at this
+// scale must not reuse — a sampled estimate, another scale, a missing
+// register file — are left out.
+func TestResumeFromArchive(t *testing.T) {
+	dir := t.TempDir()
+	st, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := ByID("fig17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := NewRunner(1)
+	r1.Archive = st
+	want, err := exp.Run(r1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept := st.Len()
+
+	// Three manifests that must never come back, each derived from a real
+	// cell and given a result that would corrupt the table if reused.
+	base := *st.All()[0]
+	base.Stats.Cycles++
+	rekey := func(m *runstore.Manifest) {
+		m.CfgHash = runstore.CfgHash(m.MemoKey)
+		m.CellKey = runstore.CellKey(m.Bench, m.Scale, m.CfgHash)
+	}
+	sampled := base
+	sampled.Sampling = stats.SampleKey(500, 1000, 30000)
+	sampled.MemoKey += "|" + sampled.Sampling
+	rekey(&sampled)
+	scale2 := base
+	scale2.Scale = 2
+	rekey(&scale2)
+	noRegs := base
+	noRegs.MemoKey = MemoKey(base.Bench, smallCfg(t))
+	noRegs.IntRegs = nil
+	rekey(&noRegs)
+	for _, m := range []*runstore.Manifest{&sampled, &scale2, &noRegs} {
+		if err := st.Put(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Len() != swept+3 {
+		t.Fatalf("reopened archive has %d cells, want %d", st2.Len(), swept+3)
+	}
+	archived := ArchivedResults(st2, 1)
+	if len(archived) != len(r1.results) {
+		t.Errorf("ArchivedResults returned %d cells, want the %d swept ones", len(archived), len(r1.results))
+	}
+	for k, res := range r1.results {
+		if got := archived[k]; got == nil || *got != *res {
+			t.Errorf("archived result for %s diverges from the sweep", shortKey(k))
+		}
+	}
+
+	r2 := NewRunner(1)
+	r2.Chaos = chaos.Config{Seed: 9, MachinePanic: 1}
+	r2.Prefill(archived)
+	got, err := exp.Run(r2)
+	if err != nil {
+		t.Fatalf("a cell was simulated instead of answered from the archive: %v", err)
+	}
+	if got.String() != want.String() || got.CSV() != want.CSV() {
+		t.Errorf("resumed tables differ:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestDistributedSweepArchiveLoads opens an archive written by the
+// lease-based distributed sweep that earlier versions shipped: a two-cell
+// Figure 17 slice simulated by a separate worker process. Its manifests
+// must still answer their cells, resume a sweep through ArchivedResults,
+// and accept new cells.
+func TestDistributedSweepArchiveLoads(t *testing.T) {
+	src, err := filepath.Glob(filepath.Join("testdata", "*-archive"))
+	if err != nil || len(src) != 1 {
+		t.Fatalf("fixture archive: %v %v", src, err)
+	}
+	// Copy the fixture: opening an archive may rewrite its index.
+	dir := t.TempDir()
+	err = filepath.WalkDir(src[0], func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src[0], path)
+		dst := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 2 {
+		t.Fatalf("fixture archive has %d cells, want 2", st.Len())
+	}
+	archived := ArchivedResults(st, 1)
+	if len(archived) != 2 {
+		t.Errorf("ArchivedResults returned %d cells, want 2", len(archived))
+	}
+	for _, name := range []config.Name{config.Orig, config.WTHWPWEC} {
+		cfg := config.Main(8)
+		if err := config.Apply(name, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		k := MemoKey("vpr", cfg)
+		m := st.Get(runstore.CellKey("vpr", 1, runstore.CfgHash(k)))
+		if m == nil || m.MemoKey != k {
+			t.Fatalf("%s: archive does not answer the cell", name)
+		}
+		res := archived[k]
+		if res == nil {
+			t.Fatalf("%s: ArchivedResults skipped the cell", name)
+		}
+		want := sta.Result{Stats: m.Stats, MemCheck: m.MemCheck}
+		copy(want.IntRegs[:], m.IntRegs)
+		if *res != want || res.Stats.Cycles == 0 {
+			t.Errorf("%s: rebuilt result diverges from the manifest", name)
+		}
+	}
+
+	r := NewRunner(1)
+	r.Archive = st
+	if _, err := r.Result(Benches()[0].Short, smallCfg(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 3 {
+		t.Errorf("archive has %d cells after a new put, want 3", st.Len())
 	}
 }

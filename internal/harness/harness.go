@@ -108,21 +108,6 @@ type Runner struct {
 	// functional reference still applies — fast-forward is exact on memory.
 	Sample sample.Config
 
-	// Remote, when non-nil, is offered every cell before the in-process
-	// simulation path: the fleet coordinator's dispatch hook. A handled
-	// cell's deterministic result (and attribution report, when Attrib is
-	// set) comes back over the wire and flows through exactly the same
-	// validation, archive, and ledger tail as a local run — so remote and
-	// local sweeps are bit-identical. handled=false (no workers ever
-	// connected, unshardable bench) falls back to the in-process path.
-	// Cells needing a live metrics collector (MetricsInterval > 0) always
-	// run locally.
-	Remote RemoteExec
-	// MakeTap, when non-nil (and Telemetry is not attached), supplies a
-	// progress tap for each fresh local simulation — the fleet worker uses
-	// it to publish live cycle counts into its lease heartbeats.
-	MakeTap func(bench, key string) *sta.ProgressTap
-
 	mu      sync.Mutex
 	results map[string]*sta.Result
 	attribs map[string]*attrib.Report
@@ -212,14 +197,6 @@ type job struct {
 	cfg   sta.Config
 }
 
-// RemoteExec executes one cell somewhere else — the fleet coordinator
-// implements it. It returns the cell's deterministic result plus, when the
-// producing worker ran with attribution attached, its report. handled=false
-// means the executor declined the cell (no workers ever connected, bench
-// not shardable) and the Runner must simulate in-process; a non-nil err
-// with handled=true quarantines the cell with the classified failure.
-type RemoteExec func(ctx context.Context, bench string, cfg sta.Config) (res *sta.Result, rep *attrib.Report, handled bool, err error)
-
 // MemoKey renders the memoization key for a (benchmark, configuration)
 // cell — the identity under which results are cached, journaled to the
 // ledger, and content-addressed in the run archive. The rendering lives in
@@ -292,58 +269,34 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	if err != nil {
 		return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 	}
-	var (
-		col    *metrics.Collector
-		rep    *attrib.Report
-		remote bool
-	)
 	simStart := time.Now()
-	if r.Remote != nil && r.MetricsInterval == 0 && !r.Sample.Enabled() {
-		// (Sampled cells always run locally: the remote protocol carries
-		// neither the sampling regime nor the estimate.)
-		rres, rrep, handled, rerr := r.runRemote(bench, cfg, cell)
-		if handled {
-			remote = true
-			if rerr != nil {
-				return nil, r.quarantine(k, bench, rerr)
-			}
-			if rres == nil || (r.Attrib && rrep == nil) {
-				return nil, r.quarantine(k, bench, simerr.Errorf(simerr.Unknown, "harness.Result",
-					"remote executor returned an incomplete cell (result %v, attrib wanted %v)",
-					rres != nil, r.Attrib))
-			}
-			res, rep = rres, rrep
-		}
+	m, err := sta.New(cfg, p)
+	if err != nil {
+		return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 	}
-	if !remote {
-		m, err := sta.New(cfg, p)
-		if err != nil {
-			return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
-		}
-		m.Sample = r.Sample
-		if r.MetricsInterval > 0 {
-			// Per-run collector: nothing is shared between workers.
-			col = metrics.NewCollector(r.MetricsInterval)
-			m.Metrics = col
-		}
-		var ac *attrib.Collector
-		if r.Attrib {
-			ac = attrib.NewCollector()
-			ac.TopN = r.AttribTopN
-			m.Attrib = ac
-		}
-		if cell != nil {
-			m.Tap = cell.Tap
-		} else if r.MakeTap != nil {
-			m.Tap = r.MakeTap(bench, k)
-		}
-		res, err = r.runSupervised(k, m, cell)
-		if err != nil {
-			return nil, r.quarantine(k, bench, err)
-		}
-		if ac != nil {
-			rep = ac.Report(res.Stats.Cycles)
-		}
+	m.Sample = r.Sample
+	var col *metrics.Collector
+	if r.MetricsInterval > 0 {
+		// Per-run collector: nothing is shared between workers.
+		col = metrics.NewCollector(r.MetricsInterval)
+		m.Metrics = col
+	}
+	var ac *attrib.Collector
+	if r.Attrib {
+		ac = attrib.NewCollector()
+		ac.TopN = r.AttribTopN
+		m.Attrib = ac
+	}
+	if cell != nil {
+		m.Tap = cell.Tap
+	}
+	res, err = r.runSupervised(k, m, cell)
+	if err != nil {
+		return nil, r.quarantine(k, bench, err)
+	}
+	var rep *attrib.Report
+	if ac != nil {
+		rep = ac.Report(res.Stats.Cycles)
 	}
 	simWall := time.Since(simStart)
 	if res.MemCheck != ref.MemCheck {
@@ -363,8 +316,6 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		}
 	}
 	if rep != nil {
-		// Remote reports get the same internal-accounting check as local
-		// ones: a corrupted wire payload must not poison the memo table.
 		if err := rep.CheckInternal(); err != nil {
 			return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 		}

@@ -11,10 +11,10 @@ import (
 	"repro/internal/sta"
 )
 
-// TestLedgerConcurrentInterleavedProducers models a fleet sweep's ledger:
-// many producers append concurrently, and — because duplicate jobs,
-// reassigned leases, and resumed runs all re-deliver cells — the same cell
-// may be journaled more than once by different producers. The contract is
+// TestLedgerConcurrentInterleavedProducers models a sweep's ledger under a
+// worker pool: many producers append concurrently, and — because duplicate
+// jobs and resumed runs both re-deliver cells — the same cell may be
+// journaled more than once by different producers. The contract is
 // convergence: a reopen yields exactly one (deterministic, identical)
 // result per cell, no matter how appends interleaved.
 func TestLedgerConcurrentInterleavedProducers(t *testing.T) {
@@ -73,7 +73,7 @@ func TestLedgerConcurrentInterleavedProducers(t *testing.T) {
 
 // TestLedgerResumeIsByteStable: reopening a ledger (including one with a
 // torn tail) settles the file into a stable byte state — a second reopen
-// reads and rewrites nothing. This is what makes "SIGKILL the coordinator,
+// reads and rewrites nothing. This is what makes "SIGKILL the sweep,
 // resume, SIGKILL it again" converge instead of drifting.
 func TestLedgerResumeIsByteStable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
@@ -125,14 +125,13 @@ func TestLedgerResumeIsByteStable(t *testing.T) {
 	}
 }
 
-// TestBackoffDelayDeterministic pins the shared retry/reassignment jitter
-// contract: pure in (key, attempt, base, max), capped exponential shape,
+// TestBackoffDelayDeterministic pins the retry jitter contract: pure in (key, attempt, base, max), capped exponential shape,
 // jitter within [0.75, 1.25), and decorrelated across keys.
 func TestBackoffDelayDeterministic(t *testing.T) {
 	base, max := 5*time.Millisecond, 250*time.Millisecond
 	for attempt := 0; attempt < 12; attempt++ {
-		a := BackoffDelay("cell-x", attempt, base, max)
-		b := BackoffDelay("cell-x", attempt, base, max)
+		a := backoffDelay("cell-x", attempt, base, max)
+		b := backoffDelay("cell-x", attempt, base, max)
 		if a != b {
 			t.Fatalf("attempt %d: not deterministic (%v vs %v)", attempt, a, b)
 		}
@@ -151,14 +150,14 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	// with 8 keys at the same attempt, at least two must differ.
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 8; i++ {
-		seen[BackoffDelay(fmt.Sprintf("cell-%d", i), 3, base, max)] = true
+		seen[backoffDelay(fmt.Sprintf("cell-%d", i), 3, base, max)] = true
 	}
 	if len(seen) < 2 {
 		t.Error("jitter does not vary across keys")
 	}
 	// Zero base/max fall back to the documented defaults rather than
 	// degenerating to zero sleeps.
-	if d := BackoffDelay("cell-x", 0, 0, 0); d <= 0 {
+	if d := backoffDelay("cell-x", 0, 0, 0); d <= 0 {
 		t.Errorf("default-parameter delay = %v, want > 0", d)
 	}
 }

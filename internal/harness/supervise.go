@@ -9,8 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/attrib"
 	"repro/internal/chaos"
+	"repro/internal/isa"
+	"repro/internal/runstore"
 	"repro/internal/simerr"
 	"repro/internal/sta"
 	"repro/internal/telemetry"
@@ -153,41 +154,14 @@ func (r *Runner) runSupervised(k string, m *sta.Machine, cell *telemetry.Cell) (
 	return res, err
 }
 
-// runRemote offers one cell to the Remote executor, tracing the exchange
-// as a "remote" span when telemetry is attached (mirroring the "sim" span
-// of a local run).
-func (r *Runner) runRemote(bench string, cfg sta.Config, cell *telemetry.Cell) (*sta.Result, *attrib.Report, bool, error) {
-	ctx := r.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var sp *telemetry.Span
-	if cell != nil && r.Telemetry != nil {
-		sp = r.Telemetry.StartSpan("remote", "fleet", cell.Span)
-	}
-	res, rep, handled, err := r.Remote(ctx, bench, cfg)
-	if sp != nil {
-		var cycles uint64
-		if res != nil {
-			cycles = res.Stats.Cycles
-		}
-		outcome := telemetry.OutcomeOf(err)
-		if !handled {
-			outcome = "declined"
-		}
-		sp.EndAt(cycles, outcome, err)
-	}
-	return res, rep, handled, err
-}
-
-// BackoffDelay returns the capped-exponential retry delay for an attempt
+// backoffDelay returns the capped-exponential retry delay for an attempt
 // (0-based), scaled by a deterministic jitter factor in [0.75, 1.25) drawn
 // from a stream seeded by key — typically the cell's memo key. The same
 // (key, attempt, base, max) always yields the same delay, so retry
 // schedules are reproducible in tests; distinct keys decorrelate, so a
-// thundering herd of failed cells (or fleet lease reassignments, which
-// share this function) spreads out instead of retrying in lockstep.
-func BackoffDelay(key string, attempt int, base, max time.Duration) time.Duration {
+// batch of cells failing together spreads its retries out instead of
+// retrying in lockstep.
+func backoffDelay(key string, attempt int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		base = 5 * time.Millisecond
 	}
@@ -216,7 +190,7 @@ func BackoffDelay(key string, attempt int, base, max time.Duration) time.Duratio
 }
 
 // retryIO runs op, retrying IO-kind failures with capped exponential
-// backoff under deterministic seeded jitter (see BackoffDelay; key is the
+// backoff under deterministic seeded jitter (see backoffDelay; key is the
 // cell's memo key); any other kind (or exhausted retries) is returned
 // as-is. IO failures are the only class the supervisor treats as
 // transient. With telemetry attached, each re-attempt is counted, logged,
@@ -248,7 +222,7 @@ func (r *Runner) retryIO(opName, key string, cell *telemetry.Cell, op func() err
 		if r.Telemetry != nil {
 			r.Telemetry.NoteRetry(opName, attempt+1, err)
 		}
-		time.Sleep(BackoffDelay(key+"|"+opName, attempt, r.RetryBackoff, maxBackoff))
+		time.Sleep(backoffDelay(key+"|"+opName, attempt, r.RetryBackoff, maxBackoff))
 	}
 }
 
@@ -260,12 +234,32 @@ func classifyIO(op string, err error) error {
 	return simerr.Classify(op, err, simerr.IO)
 }
 
-// Prefill seeds the memoization table with previously-journaled results
-// (see OpenLedger), so a resumed suite skips every finished cell.
+// Prefill seeds the memoization table with previously finished results
+// (from OpenLedger or ArchivedResults), so a resumed suite skips every
+// finished cell.
 func (r *Runner) Prefill(results map[string]*sta.Result) {
 	r.mu.Lock()
 	for k, res := range results {
 		r.results[k] = res
 	}
 	r.mu.Unlock()
+}
+
+// ArchivedResults rebuilds the full deterministic result of every archived
+// cell a detailed runner at this scale can reuse, keyed by memo key, for
+// Prefill. A manifest qualifies only when it was written at the same scale,
+// ran detailed (manifests do not carry sampled estimates), and recorded the
+// whole integer register file; Stats, MemCheck and IntRegs then make up the
+// entire sta.Result.
+func ArchivedResults(st *runstore.Store, scale int) map[string]*sta.Result {
+	out := make(map[string]*sta.Result)
+	for _, m := range st.All() {
+		if m.Scale != scale || m.Sampling != "" || len(m.IntRegs) != isa.NumIntRegs {
+			continue
+		}
+		res := &sta.Result{Stats: m.Stats, MemCheck: m.MemCheck}
+		copy(res.IntRegs[:], m.IntRegs)
+		out[m.MemoKey] = res
+	}
+	return out
 }

@@ -120,9 +120,9 @@ type Manifest struct {
 	Attrib   *AttribSummary `json:"attrib,omitempty"`
 	// IntRegs is the architectural integer register file at halt. Together
 	// with Stats and MemCheck it reconstructs the full sta.Result, which lets
-	// the fleet coordinator answer a cell from the archive without
-	// re-simulating. Manifests written before this field existed omit it (and
-	// are not eligible for that fast path).
+	// a resumed sweep answer a cell from the archive without re-simulating
+	// (see harness.ArchivedResults). Manifests written before this field
+	// existed omit it, and those cells are simulated again.
 	IntRegs []int64 `json:"int_regs,omitempty"`
 
 	// Artifacts maps artifact kind ("metrics", "attrib", "spans") to the

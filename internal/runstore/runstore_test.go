@@ -369,8 +369,8 @@ func TestPareto(t *testing.T) {
 // TestOldArchiveWorkersFieldStillLoads opens an archive written when
 // manifests still recorded the machine's stepping-worker budget
 // ("workers": 4). The field is gone from Manifest; such an archive must
-// still open, answer cells in full (the fleet's and -resume's fast path
-// needs the register file), query, diff, and accept new cells.
+// still open, answer cells in full (resuming from the archive needs the
+// register file), query, diff, and accept new cells.
 func TestOldArchiveWorkersFieldStillLoads(t *testing.T) {
 	dir := t.TempDir()
 	wec := mkManifest(t, "mcf", config.WTHWPWEC, 8, 16, 1000)

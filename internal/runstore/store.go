@@ -114,7 +114,7 @@ func (s *Store) Put(m *Manifest) error {
 		// Identical deterministic result carrying no new attribution or
 		// register snapshot: replayed ledger tails and re-runs converge on
 		// the stored cell. A re-run that attaches the attribution collector
-		// — or records the register file (the fleet fast path's input) — for
+		// — or records the register file (the archive resume's input) — for
 		// the first time falls through and supersedes.
 		return nil
 	}

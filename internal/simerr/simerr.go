@@ -66,19 +66,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// ParseKind maps a stable kind name (the Kind.String rendering) back onto
-// the Kind. The fleet protocol ships classified failures across process
-// boundaries as their names; unrecognized names come back as Unknown so a
-// version-skewed worker still quarantines cleanly.
-func ParseKind(s string) Kind {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k)
-		}
-	}
-	return Unknown
-}
-
 // TUState is one thread unit's pipeline state at the moment of failure.
 type TUState struct {
 	ID      int    `json:"tu"`

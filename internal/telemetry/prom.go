@@ -102,7 +102,6 @@ func (r *Run) WriteProm(w io.Writer) error {
 	ledgerPath := r.ledgerPath
 	ledgerAppends := r.ledgerAppends
 	lastLedger := r.lastLedger
-	fleetSource := r.fleetSource
 	r.mu.Unlock()
 
 	p.header("sta_suite_info", "Run identity (value is always 1).", "gauge")
@@ -124,28 +123,6 @@ func (r *Run) WriteProm(w io.Writer) error {
 		p.value("sta_suite_ledger_appends_total", [][2]string{{"path", ledgerPath}}, float64(ledgerAppends))
 		p.header("sta_suite_ledger_lag_seconds", "Seconds since the last ledger append.", "gauge")
 		p.value("sta_suite_ledger_lag_seconds", nil, time.Since(lastLedger).Seconds())
-	}
-
-	if fleetSource != nil {
-		fc := fleetSource()
-		p.header("sta_fleet_workers_live", "Fleet workers with a live lease or recent heartbeat.", "gauge")
-		p.value("sta_fleet_workers_live", nil, float64(fc.WorkersLive))
-		p.header("sta_fleet_workers_joined_total", "Fleet join handshakes accepted (re-joins count again).", "counter")
-		p.value("sta_fleet_workers_joined_total", nil, float64(fc.WorkersJoined))
-		p.header("sta_fleet_leases_held", "Cells currently leased to fleet workers.", "gauge")
-		p.value("sta_fleet_leases_held", nil, float64(fc.LeasesHeld))
-		p.header("sta_fleet_leases_expired_total", "Leases revoked for missed heartbeats or stalled progress.", "counter")
-		p.value("sta_fleet_leases_expired_total", nil, float64(fc.LeasesExpired))
-		p.header("sta_fleet_cells_reassigned_total", "Cells re-queued after revoked leases or worker-blamed failures.", "counter")
-		p.value("sta_fleet_cells_reassigned_total", nil, float64(fc.CellsReassigned))
-		p.header("sta_fleet_cells_quarantined_total", "Cells the coordinator gave up on (poison or attempt cap).", "counter")
-		p.value("sta_fleet_cells_quarantined_total", nil, float64(fc.CellsQuarantined))
-		p.header("sta_fleet_cache_hits_total", "Cells answered from the content-addressed run archive.", "counter")
-		p.value("sta_fleet_cache_hits_total", nil, float64(fc.CacheHits))
-		p.header("sta_fleet_remote_results_total", "Cells answered by a fleet worker's simulation.", "counter")
-		p.value("sta_fleet_remote_results_total", nil, float64(fc.RemoteResults))
-		p.header("sta_fleet_local_fallbacks_total", "Cells simulated in-process because no worker joined.", "counter")
-		p.value("sta_fleet_local_fallbacks_total", nil, float64(fc.LocalFallbacks))
 	}
 
 	cells := r.liveCells()

@@ -90,8 +90,6 @@ type Run struct {
 	ledgerAppends uint64
 	lastLedger    time.Time
 
-	fleetSource func() FleetCounts
-
 	spans *journal.Journal // spans.jsonl; nil without a Dir
 
 	server *httpServer
@@ -214,29 +212,6 @@ func (r *Run) ArchivePath() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.archiveRoot
-}
-
-// FleetCounts is a snapshot of a fleet coordinator's health, sampled by
-// the /metrics exporter through the source registered with SetFleetSource.
-type FleetCounts struct {
-	WorkersLive      int    // workers with an unexpired lease or recent heartbeat
-	WorkersJoined    uint64 // join handshakes accepted (re-joins count again)
-	LeasesHeld       int    // cells currently leased to a worker
-	LeasesExpired    uint64 // leases revoked for missed heartbeats or stalled progress
-	CellsReassigned  uint64 // cells re-queued after a revoked lease or worker-blamed failure
-	CellsQuarantined uint64 // cells the coordinator gave up on (poison or attempt cap)
-	CacheHits        uint64 // cells answered from the content-addressed archive
-	RemoteResults    uint64 // cells answered by a worker's simulation
-	LocalFallbacks   uint64 // cells simulated in-process because no worker ever joined
-}
-
-// SetFleetSource registers (or with nil clears) the callback /metrics
-// samples for the sta_fleet_* gauges. The callback must be safe for
-// concurrent use; a fleet coordinator registers its counter snapshot here.
-func (r *Run) SetFleetSource(fn func() FleetCounts) {
-	r.mu.Lock()
-	r.fleetSource = fn
-	r.mu.Unlock()
 }
 
 // NoteLedgerAppend records one successful ledger append (drives the

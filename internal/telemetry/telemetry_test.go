@@ -247,9 +247,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	r.SetLedger("/tmp/led.jsonl")
 	r.NoteLedgerAppend()
 	r.NoteRetry("harness.metrics", 1, fmt.Errorf("disk full"))
-	r.SetFleetSource(func() FleetCounts {
-		return FleetCounts{WorkersLive: 2, WorkersJoined: 3, LeasesHeld: 1, CacheHits: 5}
-	})
 	r.BeginSuite("fig10")
 	c := r.StartCell("equake", "cfg-33334444", 0)
 	base := "http://" + r.Addr()
@@ -303,10 +300,6 @@ func TestHTTPEndpoints(t *testing.T) {
 		`sta_suite_info{run="` + r.ID + `"} 1`,
 		"sta_suite_cells_inflight 1",
 		"sta_suite_retries_total 1",
-		"sta_fleet_workers_live 2",
-		"sta_fleet_workers_joined_total 3",
-		"sta_fleet_leases_held 1",
-		"sta_fleet_cache_hits_total 5",
 		`sta_suite_ledger_appends_total{path="/tmp/led.jsonl"} 1`,
 		`sta_cell_cycle{bench="equake",config="cfg-33334444",span="` + fmt.Sprint(c.Span.ID) + `"}`,
 	} {
