@@ -107,6 +107,14 @@ func run() int {
 	)
 	flag.Parse()
 
+	switch *format {
+	case "table", "csv", "json":
+	default:
+		fmt.Fprintf(os.Stderr, "experiments: unknown -format %q (want table, csv or json)\n", *format)
+		flag.Usage()
+		return 2
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

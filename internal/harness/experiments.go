@@ -22,8 +22,174 @@ func speedup(base, res *sta.Result) float64 {
 	return base.Stats.EstCycles() / c
 }
 
-// relSpeedupPct is speedup as a percentage improvement (e.g. +9.7%).
-func relSpeedupPct(base, res *sta.Result) float64 { return (speedup(base, res) - 1) * 100 }
+// pct renders a speedup as the paper's percentage improvement (e.g. +9.7%).
+func pct(sp float64) string { return stats.Pct((sp - 1) * 100) }
+
+// cmp is one compared pair, one line of a figure: cfg measured against
+// base on every benchmark.
+type cmp struct {
+	label     string
+	base, cfg sta.Config
+}
+
+// cells lists every (bench, cfg) cell that cmps read, each distinct cell
+// once, benchmark-major: all of the first benchmark's cells, then the
+// next benchmark's.
+func (r *Runner) cells(cmps []cmp) []job {
+	var jobs []job
+	for _, b := range Benches() {
+		seen := make(map[string]bool)
+		for _, c := range cmps {
+			for _, cfg := range []sta.Config{c.base, c.cfg} {
+				if k := r.key(b.Short, cfg); !seen[k] {
+					seen[k] = true
+					jobs = append(jobs, job{b.Short, cfg})
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// compare runs every pair on every benchmark in one batch and returns
+// v[i][j] = metric(base, res) for pair i on benchmark j. A configuration
+// that failed to build is reported before anything simulates.
+func (r *Runner) compare(cs *cfgset, cmps []cmp, metric func(base, res *sta.Result) float64) ([][]float64, error) {
+	if err := cs.Err(); err != nil {
+		return nil, err
+	}
+	if err := r.batch(r.cells(cmps)); err != nil {
+		return nil, err
+	}
+	v := make([][]float64, len(cmps))
+	for i, c := range cmps {
+		for _, b := range Benches() {
+			base, err := r.Result(b.Short, c.base)
+			if err != nil {
+				return nil, err
+			}
+			res, err := r.Result(b.Short, c.cfg)
+			if err != nil {
+				return nil, err
+			}
+			v[i] = append(v[i], metric(base, res))
+		}
+	}
+	return v, nil
+}
+
+// byBench lays a comparison out with a row per benchmark and a column per
+// pair, each value rendered by cell; avg adds a row of every column's
+// weighted-average speedup.
+func (r *Runner) byBench(cs *cfgset, cmps []cmp, metric func(base, res *sta.Result) float64,
+	cell func(float64) string, avg bool) (*stats.Table, error) {
+	v, err := r.compare(cs, cmps, metric)
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{Header: []string{"Benchmark"}}
+	for _, c := range cmps {
+		t.Header = append(t.Header, c.label)
+	}
+	for j, b := range Benches() {
+		row := []string{b.Short}
+		for i := range cmps {
+			row = append(row, cell(v[i][j]))
+		}
+		t.AddRow(row...)
+	}
+	if avg {
+		row := []string{"average"}
+		for i := range cmps {
+			row = append(row, cell(stats.WeightedAverageSpeedup(v[i])))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// byConfig lays a comparison out with a row per pair, under the corner
+// heading, and a column per benchmark, each value rendered by cell; avg
+// adds a column of every row's weighted-average speedup.
+func (r *Runner) byConfig(cs *cfgset, corner string, cmps []cmp, metric func(base, res *sta.Result) float64,
+	cell func(float64) string, avg bool) (*stats.Table, error) {
+	v, err := r.compare(cs, cmps, metric)
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{Header: []string{corner}}
+	for _, b := range Benches() {
+		t.Header = append(t.Header, b.Short)
+	}
+	if avg {
+		t.Header = append(t.Header, "average")
+	}
+	for i, c := range cmps {
+		row := []string{c.label}
+		for _, x := range v[i] {
+			row = append(row, cell(x))
+		}
+		if avg {
+			row = append(row, cell(stats.WeightedAverageSpeedup(v[i])))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// cfgset builds the machine configurations one experiment sweeps over,
+// accumulating the first construction error instead of panicking; compare
+// checks Err once, before any simulation runs.
+type cfgset struct{ err error }
+
+func (cs *cfgset) note(err error) {
+	if cs.err == nil && err != nil {
+		cs.err = err
+	}
+}
+
+// Err returns the first configuration-construction error, classified into
+// the taxonomy.
+func (cs *cfgset) Err() error {
+	if cs.err == nil {
+		return nil
+	}
+	return simerr.Classify("harness.config", cs.err, simerr.BadProgram)
+}
+
+// main builds the main machine with tus thread units in the named
+// configuration.
+func (cs *cfgset) main(name config.Name, tus int) sta.Config {
+	cfg := config.Main(tus)
+	cs.note(config.Apply(name, &cfg))
+	return cfg
+}
+
+// at8 builds an 8-TU machine in the named configuration, applying mut to
+// the base machine first.
+func (cs *cfgset) at8(name config.Name, mut func(*sta.Config)) sta.Config {
+	cfg := config.Main(8)
+	if mut != nil {
+		mut(&cfg)
+	}
+	cs.note(config.Apply(name, &cfg))
+	return cfg
+}
+
+// vsOrig pairs the named 8-TU machine against orig, mut applied to both.
+func (cs *cfgset) vsOrig(label string, name config.Name, mut func(*sta.Config)) cmp {
+	return cmp{label, cs.at8(config.Orig, mut), cs.at8(name, mut)}
+}
+
+// wecPairs pairs wth-wp-wec against orig at 8 TUs once per parameter
+// value, set applying the value to both machines.
+func wecPairs[T any](cs *cfgset, vals []T, label func(T) string, set func(*sta.Config, T)) []cmp {
+	var cmps []cmp
+	for _, v := range vals {
+		cmps = append(cmps, cs.vsOrig(label(v), config.WTHWPWEC, func(c *sta.Config) { set(c, v) }))
+	}
+	return cmps
+}
 
 // table2 reports per-benchmark dynamic instruction counts and the fraction
 // executed inside parallel regions, from the functional reference.
@@ -64,46 +230,13 @@ func table3(r *Runner) (*stats.Table, error) {
 // single-issue baseline, measured over parallel-region cycles only.
 func fig8(r *Runner) (*stats.Table, error) {
 	rows := config.Table3Rows()
-	base := rows[0].Machine()
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, base})
-		for _, row := range rows[1:] {
-			jobs = append(jobs, job{b.Short, row.Machine()})
-		}
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
+	var cmps []cmp
 	for _, row := range rows[1:] {
-		hdr = append(hdr, row.Label())
+		cmps = append(cmps, cmp{row.Label(), rows[0].Machine(), row.Machine()})
 	}
-	t := &stats.Table{Header: hdr}
-	perCol := make([][]float64, len(rows)-1)
-	for _, b := range Benches() {
-		bres, err := r.Result(b.Short, base)
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{b.Short}
-		for i, row := range rows[1:] {
-			res, err := r.Result(b.Short, row.Machine())
-			if err != nil {
-				return nil, err
-			}
-			sp := stats.Speedup(bres.Stats.ParCycles, res.Stats.ParCycles)
-			perCol[i] = append(perCol[i], sp)
-			cells = append(cells, fmt.Sprintf("%.2fx", sp))
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"average"}
-	for _, col := range perCol {
-		avg = append(avg, fmt.Sprintf("%.2fx", stats.WeightedAverageSpeedup(col)))
-	}
-	t.AddRow(avg...)
-	return t, nil
+	return r.byBench(new(cfgset), cmps,
+		func(base, res *sta.Result) float64 { return stats.Speedup(base.Stats.ParCycles, res.Stats.ParCycles) },
+		func(sp float64) string { return fmt.Sprintf("%.2fx", sp) }, true)
 }
 
 var tuSweep = []int{1, 2, 4, 8, 16}
@@ -112,185 +245,36 @@ var tuSweep = []int{1, 2, 4, 8, 16}
 // 1-16 TUs against the single-TU orig machine.
 func fig9(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	mk := cs.main
-	var jobs []job
-	for _, b := range Benches() {
-		for _, n := range tuSweep {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, n)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, n)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
+	base := cs.main(config.Orig, 1)
+	var cmps []cmp
 	for _, n := range tuSweep[1:] {
-		hdr = append(hdr, fmt.Sprintf("orig %dTU", n))
+		cmps = append(cmps, cmp{fmt.Sprintf("orig %dTU", n), base, cs.main(config.Orig, n)})
 	}
 	for _, n := range tuSweep {
-		hdr = append(hdr, fmt.Sprintf("wec %dTU", n))
+		cmps = append(cmps, cmp{fmt.Sprintf("wec %dTU", n), base, cs.main(config.WTHWPWEC, n)})
 	}
-	t := &stats.Table{Header: hdr}
-	for _, b := range Benches() {
-		baseRes, err := r.Result(b.Short, mk(config.Orig, 1))
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{b.Short}
-		for _, n := range tuSweep[1:] {
-			res, err := r.Result(b.Short, mk(config.Orig, n))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, stats.Pct(relSpeedupPct(baseRes, res)))
-		}
-		for _, n := range tuSweep {
-			res, err := r.Result(b.Short, mk(config.WTHWPWEC, n))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, stats.Pct(relSpeedupPct(baseRes, res)))
-		}
-		t.AddRow(cells...)
-	}
-	return t, nil
+	return r.byBench(cs, cmps, speedup, pct, false)
 }
 
 // fig10 reports the wth-wp-wec speedup over the orig machine with the same
 // thread-unit count.
 func fig10(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	mk := cs.main
-	var jobs []job
-	for _, b := range Benches() {
-		for _, n := range tuSweep {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, n)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, n)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
+	var cmps []cmp
 	for _, n := range tuSweep {
-		hdr = append(hdr, fmt.Sprintf("%dTU", n))
+		cmps = append(cmps, cmp{fmt.Sprintf("%dTU", n), cs.main(config.Orig, n), cs.main(config.WTHWPWEC, n)})
 	}
-	t := &stats.Table{Header: hdr}
-	perCol := make([][]float64, len(tuSweep))
-	for _, b := range Benches() {
-		cells := []string{b.Short}
-		for i, n := range tuSweep {
-			or, err := r.Result(b.Short, mk(config.Orig, n))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, n))
-			if err != nil {
-				return nil, err
-			}
-			perCol[i] = append(perCol[i], speedup(or, we))
-			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"average"}
-	for _, col := range perCol {
-		avg = append(avg, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-	}
-	t.AddRow(avg...)
-	return t, nil
-}
-
-// cfgset builds the machine configurations one experiment sweeps over,
-// accumulating the first construction error instead of panicking; the
-// experiment checks Err once after assembling its job list, before any
-// simulation runs.
-type cfgset struct{ err error }
-
-func (cs *cfgset) note(err error) {
-	if cs.err == nil && err != nil {
-		cs.err = err
-	}
-}
-
-// Err returns the first configuration-construction error, classified into
-// the taxonomy.
-func (cs *cfgset) Err() error {
-	if cs.err == nil {
-		return nil
-	}
-	return simerr.Classify("harness.config", cs.err, simerr.BadProgram)
-}
-
-// main builds the main machine with tus thread units in the named
-// configuration.
-func (cs *cfgset) main(name config.Name, tus int) sta.Config {
-	cfg := config.Main(tus)
-	cs.note(config.Apply(name, &cfg))
-	return cfg
-}
-
-// at8 builds an 8-TU machine in the named configuration, applying mut to
-// the base machine first.
-func (cs *cfgset) at8(name config.Name, mut func(*sta.Config)) sta.Config {
-	cfg := config.Main(8)
-	if mut != nil {
-		mut(&cfg)
-	}
-	cs.note(config.Apply(name, &cfg))
-	return cfg
+	return r.byBench(cs, cmps, speedup, pct, true)
 }
 
 // fig11 compares all configurations at 8 TUs against orig.
 func fig11(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	names := config.Names()
-	var jobs []job
-	for _, b := range Benches() {
-		for _, n := range names {
-			jobs = append(jobs, job{b.Short, cs.at8(n, nil)})
-		}
+	var cmps []cmp
+	for _, n := range config.Names()[1:] {
+		cmps = append(cmps, cs.vsOrig(string(n), n, nil))
 	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
-	for _, n := range names[1:] {
-		hdr = append(hdr, string(n))
-	}
-	t := &stats.Table{Header: hdr}
-	perCol := make([][]float64, len(names)-1)
-	for _, b := range Benches() {
-		or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{b.Short}
-		for i, n := range names[1:] {
-			res, err := r.Result(b.Short, cs.at8(n, nil))
-			if err != nil {
-				return nil, err
-			}
-			perCol[i] = append(perCol[i], speedup(or, res))
-			cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"average"}
-	for _, col := range perCol {
-		avg = append(avg, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-	}
-	t.AddRow(avg...)
-	return t, nil
+	return r.byBench(cs, cmps, speedup, pct, true)
 }
 
 // fig12 sweeps L1 associativity (direct-mapped vs 4-way) for the victim
@@ -298,198 +282,64 @@ func fig11(r *Runner) (*stats.Table, error) {
 // associativity.
 func fig12(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	assocs := []int{1, 4}
-	names := []config.Name{config.VC, config.WTHWPVC, config.WTHWPWEC}
-	mkA := func(name config.Name, assoc int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L1DAssoc = assoc })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, a := range assocs {
-			jobs = append(jobs, job{b.Short, mkA(config.Orig, a)})
-			for _, n := range names {
-				jobs = append(jobs, job{b.Short, mkA(n, a)})
-			}
+	var cmps []cmp
+	for _, a := range []int{1, 4} {
+		for _, n := range []config.Name{config.VC, config.WTHWPVC, config.WTHWPWEC} {
+			cmps = append(cmps, cs.vsOrig(fmt.Sprintf("%dway %s", a, n), n,
+				func(c *sta.Config) { c.Mem.L1DAssoc = a }))
 		}
 	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, a := range assocs {
-		for _, n := range names {
-			cells := []string{fmt.Sprintf("%dway %s", a, n)}
-			var col []float64
-			for _, b := range Benches() {
-				or, err := r.Result(b.Short, mkA(config.Orig, a))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkA(n, a))
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, speedup(or, res))
-				cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
-			}
-			cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-			t.AddRow(cells...)
-		}
-	}
-	return t, nil
+	return r.byConfig(cs, "Config", cmps, speedup, pct, true)
 }
 
-// fig13 sweeps the L1 data cache size, reporting execution time normalized
-// to orig with the smallest L1.
-func fig13(r *Runner) (*stats.Table, error) {
+// normalizedTime builds Figures 13 and 14: the execution time of orig and
+// wth-wp-wec at each cache size (KB, set in bytes by set), normalized to
+// orig at the smallest size.
+func normalizedTime(r *Runner, sizes []int, set func(c *sta.Config, bytes int)) (*stats.Table, error) {
 	cs := new(cfgset)
-	sizes := []int{4, 8, 16, 32} // KB
-	mkS := func(name config.Name, kb int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L1DSize = kb * 1024 })
+	mk := func(name config.Name, kb int) sta.Config {
+		return cs.at8(name, func(c *sta.Config) { set(c, kb*1024) })
 	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, kb := range sizes {
-			jobs = append(jobs, job{b.Short, mkS(config.Orig, kb)})
-			jobs = append(jobs, job{b.Short, mkS(config.WTHWPWEC, kb)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	t := &stats.Table{Header: hdr}
+	var cmps []cmp
 	for _, name := range []config.Name{config.Orig, config.WTHWPWEC} {
 		for _, kb := range sizes {
-			cells := []string{fmt.Sprintf("%s %dk", name, kb)}
-			for _, b := range Benches() {
-				base, err := r.Result(b.Short, mkS(config.Orig, sizes[0]))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkS(name, kb))
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, fmt.Sprintf("%.3f",
-					res.Stats.EstCycles()/base.Stats.EstCycles()))
-			}
-			t.AddRow(cells...)
+			cmps = append(cmps, cmp{fmt.Sprintf("%s %dk", name, kb), mk(config.Orig, sizes[0]), mk(name, kb)})
 		}
 	}
-	return t, nil
+	return r.byConfig(cs, "Config", cmps,
+		func(base, res *sta.Result) float64 { return res.Stats.EstCycles() / base.Stats.EstCycles() },
+		func(v float64) string { return fmt.Sprintf("%.3f", v) }, false)
+}
+
+// fig13 sweeps the L1 data cache size.
+func fig13(r *Runner) (*stats.Table, error) {
+	return normalizedTime(r, []int{4, 8, 16, 32}, func(c *sta.Config, n int) { c.Mem.L1DSize = n })
 }
 
 // fig14 sweeps the shared L2 size (the paper's 128/256/512 KB progression,
 // scaled 1:2:4 to this repo's workload footprints as 32/64/128 KB).
 func fig14(r *Runner) (*stats.Table, error) {
-	cs := new(cfgset)
-	sizes := []int{32, 64, 128} // KB
-	mkS := func(name config.Name, kb int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L2Size = kb * 1024 })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, kb := range sizes {
-			jobs = append(jobs, job{b.Short, mkS(config.Orig, kb)})
-			jobs = append(jobs, job{b.Short, mkS(config.WTHWPWEC, kb)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	t := &stats.Table{Header: hdr}
-	for _, name := range []config.Name{config.Orig, config.WTHWPWEC} {
-		for _, kb := range sizes {
-			cells := []string{fmt.Sprintf("%s %dk", name, kb)}
-			for _, b := range Benches() {
-				base, err := r.Result(b.Short, mkS(config.Orig, sizes[0]))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkS(name, kb))
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, fmt.Sprintf("%.3f",
-					res.Stats.EstCycles()/base.Stats.EstCycles()))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, nil
+	return normalizedTime(r, []int{32, 64, 128}, func(c *sta.Config, n int) { c.Mem.L2Size = n })
 }
 
-// sweepSideSizes builds the Figure 15/16 style comparisons: relative
-// speedup over orig for each (configuration, side-buffer entries) pair.
-func sweepSideSizes(r *Runner, names []config.Name, sizes []int) (*stats.Table, error) {
-	cs := new(cfgset)
-	mkE := func(name config.Name, entries int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.SideEntries = entries })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		for _, n := range names {
-			for _, e := range sizes {
-				jobs = append(jobs, job{b.Short, mkE(n, e)})
-			}
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
+// sideSizePairs pairs each (configuration, side-buffer entries) machine
+// against orig, for the Figure 15/16 comparisons.
+func sideSizePairs(cs *cfgset, names []config.Name, sizes []int) []cmp {
+	var cmps []cmp
 	for _, n := range names {
 		for _, e := range sizes {
-			cells := []string{fmt.Sprintf("%s %d", n, e)}
-			var col []float64
-			for _, b := range Benches() {
-				or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkE(n, e))
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, speedup(or, res))
-				cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
-			}
-			cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-			t.AddRow(cells...)
+			cmps = append(cmps, cmp{fmt.Sprintf("%s %d", n, e), cs.at8(config.Orig, nil),
+				cs.at8(n, func(c *sta.Config) { c.Mem.SideEntries = e })})
 		}
 	}
-	return t, nil
+	return cmps
+}
+
+// sweepSideSizes lays out the relative speedup over orig of each
+// (configuration, side-buffer entries) pair.
+func sweepSideSizes(r *Runner, names []config.Name, sizes []int) (*stats.Table, error) {
+	cs := new(cfgset)
+	return r.byConfig(cs, "Config", sideSizePairs(cs, names, sizes), speedup, pct, true)
 }
 
 // fig15 compares WEC sizes against victim cache sizes (4/8/16 entries).
@@ -507,43 +357,35 @@ func fig16(r *Runner) (*stats.Table, error) {
 }
 
 // fig17 reports the wth-wp-wec L1 data-traffic increase and miss-count
-// reduction relative to orig.
+// reduction relative to orig; the average row is their plain mean.
 func fig17(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		jobs = append(jobs, job{b.Short, cs.at8(config.WTHWPWEC, nil)})
-	}
-	if err := cs.Err(); err != nil {
+	cmps := []cmp{cs.vsOrig(string(config.WTHWPWEC), config.WTHWPWEC, nil)}
+	traffic, err := r.compare(cs, cmps, func(or, we *sta.Result) float64 {
+		return 100 * (float64(we.Stats.L1DTraffic) - float64(or.Stats.L1DTraffic)) /
+			float64(or.Stats.L1DTraffic)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := r.batch(jobs); err != nil {
+	miss, err := r.compare(cs, cmps, func(or, we *sta.Result) float64 {
+		return 100 * (float64(or.Stats.L1DMisses) - float64(we.Stats.L1DMisses)) /
+			float64(or.Stats.L1DMisses)
+	})
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{
 		"Benchmark", "L1 traffic increase", "L1 miss reduction",
 	}}
 	var trafficSum, missSum float64
-	for _, b := range Benches() {
-		or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-		if err != nil {
-			return nil, err
-		}
-		we, err := r.Result(b.Short, cs.at8(config.WTHWPWEC, nil))
-		if err != nil {
-			return nil, err
-		}
-		traffic := 100 * (float64(we.Stats.L1DTraffic) - float64(or.Stats.L1DTraffic)) /
-			float64(or.Stats.L1DTraffic)
-		miss := 100 * (float64(or.Stats.L1DMisses) - float64(we.Stats.L1DMisses)) /
-			float64(or.Stats.L1DMisses)
-		trafficSum += traffic
-		missSum += miss
-		t.AddRow(b.Short, fmt.Sprintf("%+.1f%%", traffic), fmt.Sprintf("%+.1f%%", miss))
+	for j, b := range Benches() {
+		trafficSum += traffic[0][j]
+		missSum += miss[0][j]
+		t.AddRow(b.Short, stats.Pct(traffic[0][j]), stats.Pct(miss[0][j]))
 	}
 	n := float64(len(Benches()))
-	t.AddRow("average", fmt.Sprintf("%+.1f%%", trafficSum/n), fmt.Sprintf("%+.1f%%", missSum/n))
+	t.AddRow("average", stats.Pct(trafficSum/n), stats.Pct(missSum/n))
 	return t, nil
 }
 
@@ -552,56 +394,18 @@ func fig17(r *Runner) (*stats.Table, error) {
 // Each row disables one role of the full wth-wp-wec configuration.
 func ablation(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	variants := []struct {
-		name string
-		mut  func(*sta.Config)
-	}{
-		{"wth-wp-wec (full)", nil},
-		{"  -victim role", func(c *sta.Config) { c.Mem.WECNoVictim = true }},
-		{"  -next-line role", func(c *sta.Config) { c.Mem.WECNoNextLine = true }},
-		{"  -both", func(c *sta.Config) {
+	orig := cs.at8(config.Orig, nil)
+	wec := func(mut func(*sta.Config)) sta.Config { return cs.at8(config.WTHWPWEC, mut) }
+	cmps := []cmp{
+		{"wth-wp-wec (full)", orig, wec(nil)},
+		{"  -victim role", orig, wec(func(c *sta.Config) { c.Mem.WECNoVictim = true })},
+		{"  -next-line role", orig, wec(func(c *sta.Config) { c.Mem.WECNoNextLine = true })},
+		{"  -both", orig, wec(func(c *sta.Config) {
 			c.Mem.WECNoVictim = true
 			c.Mem.WECNoNextLine = true
-		}},
+		})},
 	}
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		for _, v := range variants {
-			jobs = append(jobs, job{b.Short, cs.at8(config.WTHWPWEC, v.mut)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, v := range variants {
-		cells := []string{v.name}
-		var col []float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.Result(b.Short, cs.at8(config.WTHWPWEC, v.mut))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, speedup(or, res))
-			cells = append(cells, stats.Pct(relSpeedupPct(or, res)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	return r.byConfig(cs, "Config", cmps, speedup, pct, true)
 }
 
 // gainDecomp decomposes where each speculative configuration's gain comes
@@ -613,43 +417,27 @@ func ablation(r *Runner) (*stats.Table, error) {
 // cache alone, and wth-wp-wec combines all three roles.
 func gainDecomp(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	prevOn, prevTop := r.Attrib, r.AttribTopN
+	prev := r.Attrib
 	r.Attrib = true
-	defer func() { r.Attrib, r.AttribTopN = prevOn, prevTop }()
-	names := []config.Name{config.WTHWP, config.NLP, config.VC, config.WTHWPWEC}
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		for _, n := range names {
-			jobs = append(jobs, job{b.Short, cs.at8(n, nil)})
-		}
+	defer func() { r.Attrib = prev }()
+	var cmps []cmp
+	for _, n := range []config.Name{config.WTHWP, config.NLP, config.VC, config.WTHWPWEC} {
+		cmps = append(cmps, cs.vsOrig(string(n), n, nil))
 	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
+	v, err := r.compare(cs, cmps, speedup)
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{
 		"Config", "speedup", "spec fills", "useful", "late", "useless", "polluting", "victim hits",
 	}}
-	for _, n := range names {
-		var col []float64
+	for i, c := range cmps {
 		var spec, useful, late, useless, polluting, victims uint64
 		for _, b := range Benches() {
-			or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
+			rep, err := r.AttribReport(b.Short, c.cfg)
 			if err != nil {
 				return nil, err
 			}
-			res, err := r.Result(b.Short, cs.at8(n, nil))
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.AttribReport(b.Short, cs.at8(n, nil))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, speedup(or, res))
 			spec += rep.SpecFills.Total()
 			useful += rep.Useful.Total()
 			late += rep.Late.Total()
@@ -663,8 +451,7 @@ func gainDecomp(r *Runner) (*stats.Table, error) {
 			}
 			return fmt.Sprintf("%d (%.0f%%)", n, 100*float64(n)/float64(spec))
 		}
-		t.AddRow(string(n),
-			stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100),
+		t.AddRow(c.label, pct(stats.WeightedAverageSpeedup(v[i])),
 			fmt.Sprint(spec), frac(useful), frac(late), frac(useless),
 			fmt.Sprint(polluting), fmt.Sprint(victims))
 	}
@@ -696,147 +483,44 @@ func table1(r *Runner) (*stats.Table, error) {
 // hide, so the WEC's edge should grow.
 func extLatency(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	lats := []int{100, 200, 400}
-	mk := func(name config.Name, lat int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.MemLat = lat })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, lat := range lats {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, lat)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, lat)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Latency"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, lat := range lats {
-		cells := []string{fmt.Sprintf("%d cycles", lat)}
-		var col []float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, mk(config.Orig, lat))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, lat))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, speedup(or, we))
-			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	cmps := wecPairs(cs, []int{100, 200, 400}, func(lat int) string { return fmt.Sprintf("%d cycles", lat) },
+		func(c *sta.Config, lat int) { c.Mem.MemLat = lat })
+	return r.byConfig(cs, "Latency", cmps, speedup, pct, true)
 }
 
 // extBlockSize is the paper's §7 future-work item "the effects of the
 // block size": WEC speedup with 32/64/128-byte L1 blocks.
 func extBlockSize(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	sizes := []int{32, 64, 128}
-	mk := func(name config.Name, bs int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L1DBlock = bs })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, bs := range sizes {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, bs)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, bs)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Block"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, bs := range sizes {
-		cells := []string{fmt.Sprintf("%dB", bs)}
-		var col []float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, mk(config.Orig, bs))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, bs))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, speedup(or, we))
-			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	cmps := wecPairs(cs, []int{32, 64, 128}, func(bs int) string { return fmt.Sprintf("%dB", bs) },
+		func(c *sta.Config, bs int) { c.Mem.L1DBlock = bs })
+	return r.byConfig(cs, "Block", cmps, speedup, pct, true)
 }
 
 // extBpred is the paper's §7 future-work item "the relationship of the
 // branch prediction accuracy to the performance of the WEC": the WEC's
-// speedup under direction predictors of increasing quality. Worse
-// prediction means more wrong-path execution to harvest.
+// speedup under direction predictors of increasing quality, beside orig's
+// mean prediction accuracy. Worse prediction means more wrong-path
+// execution to harvest.
 func extBpred(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	kinds := []bpred.DirKind{bpred.DirTaken, bpred.DirBimodal, bpred.DirGshare, bpred.DirComb}
-	mk := func(name config.Name, kind bpred.DirKind) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Core.Bpred.Dir = kind })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, k := range kinds {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, k)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, k)})
-		}
-	}
-	if err := cs.Err(); err != nil {
+	cmps := wecPairs(cs, []bpred.DirKind{bpred.DirTaken, bpred.DirBimodal, bpred.DirGshare, bpred.DirComb},
+		bpred.DirKind.String, func(c *sta.Config, k bpred.DirKind) { c.Core.Bpred.Dir = k })
+	t, err := r.byConfig(cs, "Predictor", cmps, speedup, pct, true)
+	if err != nil {
 		return nil, err
 	}
-	if err := r.batch(jobs); err != nil {
+	acc, err := r.compare(cs, cmps, func(or, _ *sta.Result) float64 { return or.Stats.BranchAccuracy() })
+	if err != nil {
 		return nil, err
 	}
-	hdr := []string{"Predictor"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average", "accuracy")
-	t := &stats.Table{Header: hdr}
-	for _, k := range kinds {
-		cells := []string{k.String()}
-		var col []float64
-		var accSum float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, mk(config.Orig, k))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, k))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, speedup(or, we))
-			accSum += or.Stats.BranchAccuracy()
-			cells = append(cells, stats.Pct(relSpeedupPct(or, we)))
+	t.Header = append(t.Header, "accuracy")
+	for i, col := range acc {
+		var sum float64
+		for _, a := range col {
+			sum += a
 		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		cells = append(cells, fmt.Sprintf("%.1f%%", 100*accSum/float64(len(Benches()))))
-		t.AddRow(cells...)
+		t.Rows[i] = append(t.Rows[i], fmt.Sprintf("%.1f%%", 100*sum/float64(len(col))))
 	}
 	return t, nil
 }

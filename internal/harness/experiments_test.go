@@ -1,26 +1,35 @@
 package harness
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/sample"
+	"repro/internal/sta"
 	"repro/internal/stats"
 )
 
-// TestAllExperimentsRun regenerates every table and figure once on a
-// shared runner (memoization makes the union far cheaper than the sum) and
-// sanity-checks each output's structure. This is the end-to-end test of
-// the whole reproduction pipeline.
+// suiteRunner is the memoizing runner the full-suite tests share, so a
+// cell one of them simulates is a lookup for the others.
+var suiteRunner = sync.OnceValue(func() *Runner { return NewRunner(1) })
+
+// TestAllExperimentsRun regenerates every table and figure once on the
+// shared runner (memoization makes the union far cheaper than the sum),
+// sanity-checks each output's structure, and holds the experiments named
+// in scorecard to the paper's claims. This is the end-to-end test of the
+// whole reproduction pipeline.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
-	r := NewRunner(1)
+	r := suiteRunner()
+	ran := map[string]bool{}
 	for _, e := range All() {
-		e := e
+		ran[e.ID] = true
 		t.Run(e.ID, func(t *testing.T) {
 			tbl, err := e.Run(r)
 			if err != nil {
@@ -42,70 +51,193 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.HasPrefix(tbl.CSV(), tbl.Header[0]) {
 				t.Errorf("%s: CSV missing header", e.ID)
 			}
+			if check := scorecard[e.ID]; check != nil {
+				check(t, tbl)
+			}
 		})
 	}
-}
-
-// pctCell parses a "+12.3%" cell.
-func pctCell(t *testing.T, cell string) float64 {
-	t.Helper()
-	s := strings.TrimSuffix(strings.TrimPrefix(cell, "+"), "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("cannot parse percentage %q", cell)
+	for id := range scorecard {
+		if !ran[id] {
+			t.Errorf("scorecard checks %s, which is not an experiment", id)
+		}
 	}
-	return v
 }
 
-// TestFig11PaperShape asserts the headline qualitative claims of the
-// paper's Figure 11 on the regenerated data: the WEC configuration's
-// average beats the victim cache decisively and is the best or tied-best
-// overall; wp alone is negligible.
-func TestFig11PaperShape(t *testing.T) {
+// scorecard holds the paper's claims (EXPERIMENTS.md "Summary scorecard")
+// as predicates over the detailed tables, keyed by experiment ID.
+var scorecard = map[string]func(t *testing.T, tbl *stats.Table){
+	// Thread-level parallelism beats instruction-level parallelism.
+	"fig8": func(t *testing.T, tbl *stats.Table) {
+		if tlp, ilp := cell(t, tbl, "average", "16TUx1"), cell(t, tbl, "average", "1TUx16"); tlp <= ilp {
+			t.Errorf("TLP average %.2fx does not beat ILP average %.2fx", tlp, ilp)
+		}
+	},
+	// The WEC's average beats the victim cache decisively and is at least
+	// next-line prefetching's; wp alone is negligible; mcf wins most.
+	"fig11": func(t *testing.T, tbl *stats.Table) {
+		wec := cell(t, tbl, "average", "wth-wp-wec")
+		vc := cell(t, tbl, "average", "vc")
+		nlp := cell(t, tbl, "average", "nlp")
+		wp := cell(t, tbl, "average", "wp")
+		if wec < 3 {
+			t.Errorf("WEC average %+.1f%% too small — reproduction regressed", wec)
+		}
+		if wec <= vc {
+			t.Errorf("WEC (%+.1f%%) must beat the victim cache (%+.1f%%)", wec, vc)
+		}
+		if wec < nlp {
+			t.Errorf("WEC (%+.1f%%) must be at least next-line prefetching (%+.1f%%)", wec, nlp)
+		}
+		if wp > 1.5 || wp < -1.5 {
+			t.Errorf("wp alone should be negligible, got %+.1f%%", wp)
+		}
+		mcf := cell(t, tbl, "mcf", "wth-wp-wec")
+		for _, b := range Benches() {
+			if g := cell(t, tbl, b.Short, "wth-wp-wec"); g > mcf {
+				t.Errorf("%s (%+.1f%%) beats mcf (%+.1f%%): winner changed", b.Short, g, mcf)
+			}
+		}
+	},
+	// The WEC's gain persists with a 4-way L1.
+	"fig12": func(t *testing.T, tbl *stats.Table) {
+		if g := cell(t, tbl, "4way wth-wp-wec", "average"); g < 3 {
+			t.Errorf("4-way WEC average %+.1f%%, want at least +3%%", g)
+		}
+	},
+	// A 4 KB L1 with the WEC runs faster than orig with a 32 KB L1.
+	"fig13": func(t *testing.T, tbl *stats.Table) {
+		if wec, orig := rowMean(t, tbl, "wth-wp-wec 4k"), rowMean(t, tbl, "orig 32k"); wec >= orig {
+			t.Errorf("wth-wp-wec 4k mean time %.3f not below orig 32k's %.3f", wec, orig)
+		}
+	},
+	// The WEC's gain grows with its size, and its smallest beats the
+	// largest victim cache.
+	"fig15": func(t *testing.T, tbl *stats.Table) {
+		w4 := cell(t, tbl, "wth-wp-wec 4", "average")
+		w8 := cell(t, tbl, "wth-wp-wec 8", "average")
+		w16 := cell(t, tbl, "wth-wp-wec 16", "average")
+		if !(w4 < w8 && w8 < w16) {
+			t.Errorf("WEC gain does not rise 4→8→16: %+.1f%% → %+.1f%% → %+.1f%%", w4, w8, w16)
+		}
+		if vc16 := cell(t, tbl, "vc 16", "average"); w4 <= vc16 {
+			t.Errorf("WEC-4 (%+.1f%%) does not beat VC-16 (%+.1f%%)", w4, vc16)
+		}
+	},
+	// An 8-entry WEC beats a 32-entry next-line prefetch buffer.
+	"fig16": func(t *testing.T, tbl *stats.Table) {
+		if w8, nlp32 := cell(t, tbl, "wth-wp-wec 8", "average"), cell(t, tbl, "nlp 32", "average"); w8 <= nlp32 {
+			t.Errorf("WEC-8 (%+.1f%%) does not beat nlp-32 (%+.1f%%)", w8, nlp32)
+		}
+	},
+	// The WEC trades extra L1 traffic (wrong loads) for fewer misses, on
+	// mcf and on average.
+	"fig17": func(t *testing.T, tbl *stats.Table) {
+		for _, row := range []string{"mcf", "average"} {
+			if tr := cell(t, tbl, row, "L1 traffic increase"); tr <= 0 {
+				t.Errorf("%s L1 traffic should increase, got %+.1f%%", row, tr)
+			}
+			if miss := cell(t, tbl, row, "L1 miss reduction"); miss <= 0 {
+				t.Errorf("%s L1 misses should fall, got %+.1f%% reduction", row, miss)
+			}
+		}
+	},
+}
+
+// TestFig11PaperShape holds Figure 11 to the paper's headline claims on
+// the shared runner: the WEC's average beats the victim cache and is at
+// least next-line prefetching's, wp alone is negligible, mcf wins most.
+func TestFig11PaperShape(t *testing.T) { checkScorecard(t, "fig11") }
+
+// TestFig17Shape holds Figure 17 to the paper's claims on the shared
+// runner: the WEC raises L1 traffic but cuts misses, on mcf and on average.
+func TestFig17Shape(t *testing.T) { checkScorecard(t, "fig17") }
+
+// checkScorecard runs experiment id on the shared runner and applies its
+// scorecard predicate. After TestAllExperimentsRun every cell is memoized.
+func checkScorecard(t *testing.T, id string) {
 	if testing.Short() {
 		t.Skip("full experiment in -short mode")
 	}
-	r := NewRunner(1)
-	tbl, err := fig11(r)
+	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Last row is the weighted average; columns follow config.Names()[1:].
-	avg := tbl.Rows[len(tbl.Rows)-1]
-	if avg[0] != "average" {
-		t.Fatalf("last row is %q, want average", avg[0])
+	tbl, err := e.Run(suiteRunner())
+	if err != nil {
+		t.Fatal(err)
 	}
-	idx := map[string]int{}
-	for i, h := range tbl.Header {
-		idx[h] = i
+	scorecard[id](t, tbl)
+}
+
+// cell parses the table cell in the row labelled row and the column headed
+// col: "+6.8%", "3.40x" and "0.939" all read as numbers.
+func cell(t *testing.T, tbl *stats.Table, row, col string) float64 {
+	t.Helper()
+	c := slices.Index(tbl.Header, col)
+	for _, r := range tbl.Rows {
+		if c < 0 || r[0] != row {
+			continue
+		}
+		v, err := strconv.ParseFloat(strings.TrimRight(r[c], "%x"), 64)
+		if err != nil {
+			t.Fatalf("cell (%s, %s): cannot parse %q", row, col, r[c])
+		}
+		return v
 	}
-	vc := pctCell(t, avg[idx["vc"]])
-	wp := pctCell(t, avg[idx["wp"]])
-	wec := pctCell(t, avg[idx["wth-wp-wec"]])
-	nlp := pctCell(t, avg[idx["nlp"]])
-	if wec < 3 {
-		t.Errorf("WEC average %+.1f%% too small — reproduction regressed", wec)
+	t.Fatalf("no cell (%s, %s) in\n%s", row, col, tbl.String())
+	return 0
+}
+
+// rowMean is the plain mean of a row's per-benchmark cells.
+func rowMean(t *testing.T, tbl *stats.Table, row string) float64 {
+	t.Helper()
+	var sum float64
+	for _, b := range Benches() {
+		sum += cell(t, tbl, row, b.Short)
 	}
-	if wec <= vc {
-		t.Errorf("WEC (%.1f%%) must beat the victim cache (%.1f%%)", wec, vc)
+	return sum / float64(len(Benches()))
+}
+
+// TestCompareQueuesEachCellOnce checks compare's job list on Figure 15's
+// pairs, where orig is the baseline shared by all nine: every distinct
+// cell is queued exactly once, benchmark-major, and every cell the table
+// reads is among them.
+func TestCompareQueuesEachCellOnce(t *testing.T) {
+	r := NewRunner(1)
+	cs := new(cfgset)
+	cmps := sideSizePairs(cs, []config.Name{config.VC, config.WTHWPVC, config.WTHWPWEC}, []int{4, 8, 16})
+	if err := cs.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if wec < nlp {
-		t.Errorf("WEC (%.1f%%) must be at least next-line prefetching (%.1f%%)", wec, nlp)
+	benchIdx := map[string]int{}
+	for i, b := range Benches() {
+		benchIdx[b.Short] = i
 	}
-	if wp > 1.5 || wp < -1.5 {
-		t.Errorf("wp alone should be negligible, got %+.1f%%", wp)
+	jobs := r.cells(cmps)
+	queued := map[string]int{}
+	for i, j := range jobs {
+		if i > 0 && benchIdx[j.bench] < benchIdx[jobs[i-1].bench] {
+			t.Errorf("job %d (%s) follows a %s job: not benchmark-major", i, j.bench, jobs[i-1].bench)
+		}
+		queued[r.key(j.bench, j.cfg)]++
 	}
-	// mcf must be the biggest winner (paper: 18.5%).
-	var mcfGain float64
-	for _, row := range tbl.Rows {
-		if row[0] == "mcf" {
-			mcfGain = pctCell(t, row[idx["wth-wp-wec"]])
+	for k, n := range queued {
+		if n != 1 {
+			t.Errorf("cell %s queued %d times", k, n)
 		}
 	}
-	for _, row := range tbl.Rows[:len(tbl.Rows)-1] {
-		if g := pctCell(t, row[idx["wth-wp-wec"]]); g > mcfGain {
-			t.Errorf("%s (%+.1f%%) beats mcf (%+.1f%%): winner changed", row[0], g, mcfGain)
+	for _, b := range Benches() {
+		for _, c := range cmps {
+			for _, cfg := range []sta.Config{c.base, c.cfg} {
+				if queued[r.key(b.Short, cfg)] == 0 {
+					t.Errorf("%s: %s reads a cell that is never queued", b.Short, c.label)
+				}
+			}
 		}
+	}
+	// One orig baseline plus nine compared machines per benchmark.
+	if want := 10 * len(Benches()); len(jobs) != want {
+		t.Errorf("%d jobs queued, want %d", len(jobs), want)
 	}
 }
 

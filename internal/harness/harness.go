@@ -519,16 +519,6 @@ type Experiment struct {
 	Run   func(r *Runner) (*stats.Table, error)
 }
 
-// RunTo executes the experiment and writes its rendered table to w.
-func (e Experiment) RunTo(r *Runner, w io.Writer) error {
-	t, err := e.Run(r)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprint(w, t.String())
-	return err
-}
-
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{

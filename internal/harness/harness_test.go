@@ -109,36 +109,3 @@ func TestUnknownBenchmark(t *testing.T) {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
-
-// TestFig17Shape runs the cheapest real experiment end to end and checks
-// the paper-shape claims: the WEC increases L1 traffic but reduces misses
-// on the benchmarks where wrong execution fires.
-func TestFig17Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment in -short mode")
-	}
-	r := NewRunner(1)
-	tbl, err := fig17(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tbl.String()
-	if !strings.Contains(out, "average") {
-		t.Fatalf("fig17 output missing average:\n%s", out)
-	}
-	// mcf must show a traffic increase (wrong loads) and a miss reduction.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "mcf") {
-			fields := strings.Fields(line)
-			if len(fields) != 3 {
-				t.Fatalf("unexpected fig17 row: %q", line)
-			}
-			if !strings.HasPrefix(fields[1], "+") {
-				t.Errorf("mcf traffic should increase: %q", line)
-			}
-			if strings.HasPrefix(fields[2], "-") {
-				t.Errorf("mcf misses should not increase: %q", line)
-			}
-		}
-	}
-}

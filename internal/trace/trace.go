@@ -79,58 +79,29 @@ type Tracer interface {
 	Event(e Event)
 }
 
-// Recorder collects events in memory. The zero value records without
-// bound; NewRecorder builds one that keeps only the most recent events,
-// so long runs can stay attached without growing memory.
+// Recorder collects every event in memory.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
-	cap    int    // 0 = unbounded
-	head   int    // ring start when the buffer has wrapped
-	total  uint64 // all-time event count, including overwritten ones
-}
-
-// NewRecorder returns a Recorder that retains at most capacity events,
-// discarding the oldest once full. capacity <= 0 means unbounded.
-func NewRecorder(capacity int) *Recorder {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Recorder{cap: capacity}
 }
 
 // Event implements Tracer.
 func (r *Recorder) Event(e Event) {
 	r.mu.Lock()
-	r.total++
-	if r.cap > 0 && len(r.events) == r.cap {
-		r.events[r.head] = e
-		r.head = (r.head + 1) % r.cap
-	} else {
-		r.events = append(r.events, e)
-	}
+	r.events = append(r.events, e)
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the retained events in chronological order.
+// Events returns a copy of the recorded events in chronological order.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.head:]...)
-	out = append(out, r.events[:r.head]...)
+	out := make([]Event, len(r.events))
+	copy(out, r.events)
 	return out
 }
 
-// Total returns the all-time event count, including any events a bounded
-// Recorder has already discarded.
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Count returns how many retained events are of the given kind.
+// Count returns how many recorded events are of the given kind.
 func (r *Recorder) Count(k Kind) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

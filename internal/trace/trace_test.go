@@ -44,44 +44,6 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
-func TestRecorderBounded(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 10; i++ {
-		r.Event(Event{Cycle: uint64(i), Kind: Fork})
-	}
-	if got := r.Total(); got != 10 {
-		t.Errorf("Total = %d, want 10", got)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	// Only the most recent four survive, in chronological order.
-	for i, e := range evs {
-		if want := uint64(6 + i); e.Cycle != want {
-			t.Errorf("evs[%d].Cycle = %d, want %d", i, e.Cycle, want)
-		}
-	}
-	if got := r.Count(Fork); got != 4 {
-		t.Errorf("Count(Fork) = %d, want 4", got)
-	}
-}
-
-func TestRecorderBoundedPartial(t *testing.T) {
-	// A bounded recorder that never fills behaves like an unbounded one.
-	r := NewRecorder(8)
-	for i := 0; i < 3; i++ {
-		r.Event(Event{Cycle: uint64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 3 || evs[0].Cycle != 0 || evs[2].Cycle != 2 {
-		t.Errorf("events = %v", evs)
-	}
-	if r.Total() != 3 {
-		t.Errorf("Total = %d, want 3", r.Total())
-	}
-}
-
 func TestWriter(t *testing.T) {
 	var buf bytes.Buffer
 	w := Writer{W: &buf}
