@@ -48,6 +48,13 @@ type Cache struct {
 	assoc      int
 	clock      uint64
 
+	// gen points at the resident-set generation: it counts every change
+	// to which blocks are resident (a new block inserted, a block removed,
+	// a reset). By default it points at ownGen; ShareGeneration points
+	// several caches at one counter.
+	gen    *uint64
+	ownGen uint64
+
 	// Statistics maintained by the structure itself.
 	Accesses  uint64
 	Hits      uint64
@@ -90,6 +97,7 @@ func New(p Params) (*Cache, error) {
 	for bs := p.BlockBytes; bs > 1; bs >>= 1 {
 		c.blockShift++
 	}
+	c.gen = &c.ownGen
 	return c, nil
 }
 
@@ -97,6 +105,12 @@ func New(p Params) (*Cache, error) {
 func NewFullyAssoc(entries, blockBytes int) (*Cache, error) {
 	return New(Params{SizeBytes: entries * blockBytes, Assoc: 0, BlockBytes: blockBytes})
 }
+
+// ShareGeneration makes the cache count its resident-set changes in *g,
+// beside every other cache sharing g. A caller that remembers g can then
+// tell in one comparison whether any of those caches gained or lost a
+// block since.
+func (c *Cache) ShareGeneration(g *uint64) { c.gen = g }
 
 // BlockBytes returns the block size in bytes.
 func (c *Cache) BlockBytes() int { return c.blockBytes }
@@ -231,6 +245,7 @@ func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
 		c.Evictions++
 	}
 	c.clock++
+	*c.gen++
 	set[vi] = line{tag: tag, valid: true, dirty: dirty, flags: flags, used: c.clock}
 	return victim
 }
@@ -244,6 +259,7 @@ func (c *Cache) Remove(addr uint64) (flags uint8, dirty, ok bool) {
 	}
 	flags, dirty = ln.flags, ln.dirty
 	ln.valid = false
+	*c.gen++
 	return flags, dirty, true
 }
 
@@ -261,6 +277,12 @@ func (c *Cache) SetDirty(addr uint64) bool {
 	}
 	ln.dirty = true
 	return true
+}
+
+// Dirty reports whether addr's block is resident and dirty.
+func (c *Cache) Dirty(addr uint64) bool {
+	ln, _ := c.find(addr)
+	return ln != nil && ln.dirty
 }
 
 // ResidentBlocks returns the addresses of all valid blocks (for tests and
@@ -285,5 +307,6 @@ func (c *Cache) Reset() {
 		}
 	}
 	c.clock = 0
+	*c.gen++
 	c.Accesses, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0
 }

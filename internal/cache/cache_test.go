@@ -165,6 +165,41 @@ func TestRemoveAndInvalidate(t *testing.T) {
 	}
 }
 
+// TestGenerationCountsResidentSetChanges: inserting a new block, removing
+// a resident one and resetting move the generation; hits, touches,
+// re-inserts, dirtying and misses do not. Caches sharing a counter move it
+// together.
+func TestGenerationCountsResidentSetChanges(t *testing.T) {
+	a, b := mk(t, 128, 2, 64), mk(t, 128, 2, 64)
+	var g uint64
+	a.ShareGeneration(&g)
+	b.ShareGeneration(&g)
+	steps := []struct {
+		name string
+		do   func()
+		bump bool
+	}{
+		{"insert new", func() { a.Insert(0, 0, false) }, true},
+		{"insert resident", func() { a.Insert(0, FlagWrong, true) }, false},
+		{"access hit", func() { a.Access(0, true) }, false},
+		{"access miss", func() { a.Access(64, false) }, false},
+		{"touch", func() { a.Touch(0) }, false},
+		{"set dirty", func() { a.SetDirty(0) }, false},
+		{"remove absent", func() { a.Remove(64) }, false},
+		{"insert into the other cache", func() { b.Insert(64, 0, false) }, true},
+		{"remove resident", func() { a.Remove(0) }, true},
+		{"invalidate resident", func() { b.Invalidate(64) }, true},
+		{"reset", func() { a.Reset() }, true},
+	}
+	for _, s := range steps {
+		before := g
+		s.do()
+		if moved := g != before; moved != s.bump {
+			t.Errorf("%s: generation moved = %v, want %v", s.name, moved, s.bump)
+		}
+	}
+}
+
 func TestSetIndexingIsolation(t *testing.T) {
 	// 4 sets, direct mapped: addresses with different set bits don't evict
 	// each other.

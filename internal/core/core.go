@@ -142,9 +142,9 @@ type wrongLoad struct {
 	pc   int
 }
 
-// Per-entry flag bits (robSoA.flags). Cleared at dispatch; every read of a
-// value array below is gated by one of these (or by state), so stale values
-// from a slot's previous occupant are never observable.
+// Per-entry flag bits (robEntry.flags). Cleared at dispatch; every read of
+// a value field below is gated by one of these (or by state), so stale
+// values from a slot's previous occupant are never observable.
 const (
 	fUse1      uint8 = 1 << iota // operand 1 is read by this instruction
 	fUse2                        // operand 2 is read
@@ -155,20 +155,18 @@ const (
 	fValKnown                    // store data ready
 )
 
-// Branch-bookkeeping bits (robSoA.bflags).
+// Branch-bookkeeping bits (robEntry.bflags).
 const (
 	bPredTaken  uint8 = 1 << iota // predicted taken at dispatch
 	bTaken                        // resolved direction
 	bMispredict                   // prediction missed
 )
 
-// robSoA is the reorder buffer in structure-of-arrays layout, one parallel
-// array per field, indexed by ROB slot. The per-cycle sweeps — complete and
-// NextWake walk the executing set touching state/doneAt/req, issue walks
-// the ready set touching flags and operand values, recover re-scans
-// everything — each visit only a few fields of many entries, so parallel
-// arrays keep every sweep's working set dense instead of striding a
-// ~200-byte struct per element.
+// robEntry is one reorder-buffer slot: a flat value struct, so the ROB is
+// a single []robEntry allocated once per core. Hot paths take
+// e := &c.rob[idx] once and pay one bounds check per slot, not one per
+// field. Slots link to each other only through int32 slot indices; the one
+// pointer a slot holds is its in-flight memory request.
 //
 // Wake-up chain: waitHead is the first waiter on an entry's result; each
 // link encodes consumer slot*2+operand, and wNext0/wNext1 hold a waiter's
@@ -182,67 +180,40 @@ const (
 // store. The store re-arms its list when it issues; dispatch and recovery
 // reset the lists (recovery returns every surviving parked load to the
 // ready set).
-type robSoA struct {
-	inst   []isa.Uop
-	pc     []int32
-	state  []uint8
-	flags  []uint8
-	bflags []uint8
-	doneAt []uint64
+type robEntry struct {
+	inst isa.Uop
 
-	// Operand capture: producer slot while waiting, value once resolved.
-	s1rob []int32
-	s2rob []int32
-	s1i   []int64
-	s2i   []int64
-	s1f   []float64
-	s2f   []float64
+	doneAt uint64
 
-	waitHead []int32
-	wNext0   []int32
-	wNext1   []int32
-
-	parkHead []int32
-	parkNext []int32
+	// Operand values once resolved; s1rob/s2rob below name the producer
+	// slot while an operand waits.
+	s1i, s2i int64
+	s1f, s2f float64
 
 	// Results.
-	ival []int64
-	fval []float64
-
-	predTarget []int32
+	ival int64
+	fval float64
 
 	// Memory bookkeeping.
-	addr      []uint64
-	storeBits []int64
-	req       []*mem.Request
-}
+	addr      uint64
+	storeBits int64
+	req       *mem.Request
 
-func newROB(n int) robSoA {
-	return robSoA{
-		inst:       make([]isa.Uop, n),
-		pc:         make([]int32, n),
-		state:      make([]uint8, n),
-		flags:      make([]uint8, n),
-		bflags:     make([]uint8, n),
-		doneAt:     make([]uint64, n),
-		s1rob:      make([]int32, n),
-		s2rob:      make([]int32, n),
-		s1i:        make([]int64, n),
-		s2i:        make([]int64, n),
-		s1f:        make([]float64, n),
-		s2f:        make([]float64, n),
-		waitHead:   make([]int32, n),
-		wNext0:     make([]int32, n),
-		wNext1:     make([]int32, n),
-		parkHead:   make([]int32, n),
-		parkNext:   make([]int32, n),
-		ival:       make([]int64, n),
-		fval:       make([]float64, n),
-		predTarget: make([]int32, n),
-		addr:       make([]uint64, n),
-		storeBits:  make([]int64, n),
-		req:        make([]*mem.Request, n),
-	}
+	pc         int32
+	predTarget int32
+	s1rob      int32
+	s2rob      int32
+
+	waitHead int32
+	wNext0   int32
+	wNext1   int32
+
+	parkHead int32
+	parkNext int32
+
+	state  uint8
+	flags  uint8
+	bflags uint8
 }
 
 // Stats collects the core's own counters.
@@ -276,7 +247,7 @@ type Core struct {
 	FPRegs  [isa.NumFPRegs]float64
 
 	// Pipeline state.
-	rob       robSoA
+	rob       []robEntry
 	robHead   int
 	robTail   int // next free slot
 	robCount  int
@@ -305,8 +276,11 @@ type Core struct {
 
 	// Wrong-path load continuation queue: effective addresses plus the
 	// squashed load's PC, kept so the memory system can attribute the
-	// wrong-path fill to its instruction.
-	wrongQ []wrongLoad
+	// wrong-path fill to its instruction. wrongHead indexes the front; both
+	// return to zero when the queue empties, so the backing array is reused
+	// instead of being consumed from the front.
+	wrongQ    []wrongLoad
+	wrongHead int
 
 	// seqForkTarget is the last FORK target seen by fetch in SeqLoops mode.
 	seqForkTarget int
@@ -348,7 +322,7 @@ func New(cfg Config, prog *isa.Program, imem *mem.IUnit, dmem DMem, env Env) (*C
 		bp:        bp,
 		code:      isa.DecodeUops(prog.Insts),
 		entry:     prog.Entry,
-		rob:       newROB(cfg.ROBSize),
+		rob:       make([]robEntry, cfg.ROBSize),
 		lsqBuf:    make([]int, cfg.LSQSize),
 		readyMask: make([]uint64, words),
 		execMask:  make([]uint64, words),
@@ -439,8 +413,11 @@ func (c *Core) Predictor() *bpred.Predictor { return c.bp }
 // require every non-running core quiet so a functional fast-forward never
 // races in-flight pipeline work.
 func (c *Core) Quiet() bool {
-	return !c.running && c.robCount == 0 && len(c.wrongQ) == 0
+	return !c.running && c.robCount == 0 && c.wrongLen() == 0
 }
+
+// wrongLen is the number of queued wrong-path loads.
+func (c *Core) wrongLen() int { return len(c.wrongQ) - c.wrongHead }
 
 // SquashForSample flushes the pipeline ahead of a functional fast-forward
 // and returns the architecturally exact resume PC: the oldest un-retired
@@ -452,7 +429,7 @@ func (c *Core) Quiet() bool {
 func (c *Core) SquashForSample() int {
 	pc := c.fetchPC
 	if c.robCount > 0 {
-		pc = int(c.rob.pc[c.robHead])
+		pc = int(c.rob[c.robHead].pc)
 	}
 	c.clearPipeline()
 	c.running = false
@@ -473,7 +450,7 @@ func (c *Core) clearPipeline() {
 		c.readyMask[i] = 0
 		c.execMask[i] = 0
 	}
-	c.wrongQ = c.wrongQ[:0]
+	c.wrongQ, c.wrongHead = c.wrongQ[:0], 0
 	c.fetchStopped = false
 	c.redirectStall = 0
 }
@@ -484,9 +461,9 @@ func (c *Core) clearPipeline() {
 func (c *Core) releaseInFlight() {
 	idx := c.robHead
 	for p := 0; p < c.robCount; p++ {
-		if r := c.rob.req[idx]; r != nil {
-			r.Release()
-			c.rob.req[idx] = nil
+		if e := &c.rob[idx]; e.req != nil {
+			e.req.Release()
+			e.req = nil
 		}
 		if idx++; idx == c.cfg.ROBSize {
 			idx = 0
@@ -499,9 +476,8 @@ func (c *Core) DebugHead() string {
 	if c.robCount == 0 {
 		return fmt.Sprintf("rob empty fetchPC=%d running=%v", c.fetchPC, c.running)
 	}
-	idx := c.robHead
-	f := c.rob.flags[idx]
+	e := &c.rob[c.robHead]
 	return fmt.Sprintf("head={%v pc=%d st=%d memIssued=%v addrKnown=%v req=%v} n=%d fetchPC=%d",
-		c.rob.inst[idx].Op, c.rob.pc[idx], c.rob.state[idx],
-		f&fMemIssued != 0, f&fAddrKnown != 0, c.rob.req[idx] != nil, c.robCount, c.fetchPC)
+		e.inst.Op, e.pc, e.state,
+		e.flags&fMemIssued != 0, e.flags&fAddrKnown != 0, e.req != nil, c.robCount, c.fetchPC)
 }

@@ -160,7 +160,7 @@ func pcsOf(p *isa.Program, op isa.Op) []int {
 // slotOf returns the ROB slot holding the live instruction at pc, or -1.
 func (c *Core) slotOf(pc int) int {
 	for p := 0; p < c.robCount; p++ {
-		if idx := c.slotAt(p); int(c.rob.pc[idx]) == pc {
+		if idx := c.slotAt(p); int(c.rob[idx].pc) == pc {
 			return idx
 		}
 	}
@@ -188,7 +188,7 @@ func stepPark(t *testing.T, r *rig, each func(cyc uint64)) {
 // the live store at stPC.
 func (c *Core) parkedOn(stPC, ldPC int) bool {
 	st, ld := c.slotOf(stPC), c.slotOf(ldPC)
-	return st >= 0 && ld >= 0 && int(c.rob.parkHead[st]) == ld
+	return st >= 0 && ld >= 0 && int(c.rob[st].parkHead) == ld
 }
 
 // issuedAt records the first cycle after which the store at pc has a known
@@ -197,7 +197,7 @@ func issuedAt(c *Core, pc int, cyc uint64, at *uint64) {
 	if *at != 0 {
 		return
 	}
-	if s := c.slotOf(pc); s >= 0 && c.rob.flags[s]&fAddrKnown != 0 {
+	if s := c.slotOf(pc); s >= 0 && c.rob[s].flags&fAddrKnown != 0 {
 		*at = cyc
 	}
 }
@@ -325,7 +325,7 @@ func TestMispredictSquashesParkedStore(t *testing.T) {
 	wrongSt := pcsOf(p, isa.ST)[1]
 	parkedOnWrong := false
 	stepPark(t, r, func(cyc uint64) {
-		if s := r.c.slotOf(wrongSt); s >= 0 && r.c.rob.parkHead[s] >= 0 {
+		if s := r.c.slotOf(wrongSt); s >= 0 && r.c.rob[s].parkHead >= 0 {
 			parkedOnWrong = true
 		}
 	})

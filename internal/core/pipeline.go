@@ -20,7 +20,7 @@ const neverWake = math.MaxUint64
 // execute completion (and branch resolution), issue, wrong-path load queue
 // drain, fetch/dispatch. Returns false when the core is idle.
 func (c *Core) Step(cycle uint64) bool {
-	if !c.running && c.robCount == 0 && len(c.wrongQ) == 0 {
+	if !c.running && c.robCount == 0 && c.wrongLen() == 0 {
 		return false
 	}
 	if c.chaos != nil {
@@ -43,10 +43,10 @@ func (c *Core) Step(cycle uint64) bool {
 // fill, a thread start) arrives. The bound is conservative: it may be
 // earlier than the next real state change, never later.
 func (c *Core) NextWake(cycle uint64) uint64 {
-	if !c.running && c.robCount == 0 && len(c.wrongQ) == 0 {
+	if !c.running && c.robCount == 0 && c.wrongLen() == 0 {
 		return neverWake
 	}
-	if len(c.wrongQ) > 0 {
+	if c.wrongLen() > 0 {
 		return cycle + 1 // wrong-load queue drains under port arbitration
 	}
 	// Fetch side: if the front end would attempt a fetch next cycle it can
@@ -60,7 +60,7 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 			return cycle + 1
 		}
 	}
-	if c.robCount > 0 && c.rob.state[c.robHead] == stDone {
+	if c.robCount > 0 && c.rob[c.robHead].state == stDone {
 		return cycle + 1 // commit can retire
 	}
 	// Parked loads are outside the ready set: the store they wait on is
@@ -79,15 +79,15 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			idx := wi<<6 | b
-			if r := c.rob.req[idx]; r != nil {
+			e := &c.rob[wi<<6|b]
+			if r := e.req; r != nil {
 				if r.Done && r.DoneCycle < wake {
 					wake = r.DoneCycle
 				}
 				continue
 			}
-			if c.rob.doneAt[idx] < wake {
-				wake = c.rob.doneAt[idx]
+			if e.doneAt < wake {
+				wake = e.doneAt
 			}
 		}
 	}
@@ -117,22 +117,25 @@ func rangeMask(w, lo, hi int) uint64 {
 	return m
 }
 
-// entryReady reports whether a dispatched entry has all operands ready:
-// neither used operand may still be unresolved.
-func (c *Core) entryReady(idx int) bool {
-	f := c.rob.flags[idx]
+// ready reports whether a dispatched entry with flag byte f has all
+// operands ready: neither used operand may still be unresolved.
+func ready(f uint8) bool {
 	return f&(fUse1|fS1Rdy) != fUse1 && f&(fUse2|fS2Rdy) != fUse2
 }
 
-// addWaiter links waiter slot's operand op onto producer prod's wake-up
-// chain. Node encoding: slot*2 + op.
-func (c *Core) addWaiter(prod, slot, op int) {
-	if op == 0 {
-		c.rob.wNext0[slot] = c.rob.waitHead[prod]
-	} else {
-		c.rob.wNext1[slot] = c.rob.waitHead[prod]
+// addWaiters links each still-unresolved operand of the entry in slot onto
+// its producer's wake-up chain. Node encoding: slot*2 + op.
+func (c *Core) addWaiters(slot int, e *robEntry) {
+	if e.flags&(fUse1|fS1Rdy) == fUse1 {
+		p := &c.rob[e.s1rob]
+		e.wNext0 = p.waitHead
+		p.waitHead = int32(slot << 1)
 	}
-	c.rob.waitHead[prod] = int32(slot<<1 | op)
+	if e.flags&(fUse2|fS2Rdy) == fUse2 {
+		p := &c.rob[e.s2rob]
+		e.wNext1 = p.waitHead
+		p.waitHead = int32(slot<<1 | 1)
+	}
 }
 
 // slotAt is the ROB slot at age position agePos (0 = head, at most
@@ -169,19 +172,20 @@ func (c *Core) fetchUop() *isa.Uop {
 func (c *Core) commit(cycle uint64) {
 	for n := 0; n < c.cfg.IssueWidth && c.robCount > 0; n++ {
 		idx := c.robHead
-		if c.rob.state[idx] != stDone {
+		e := &c.rob[idx]
+		if e.state != stDone {
 			return
 		}
-		u := &c.rob.inst[idx]
+		u := &e.inst
 		// Architectural register writeback.
 		if u.Flags&isa.UDest != 0 {
 			if u.Flags&isa.UFPDest != 0 {
-				c.FPRegs[u.Rd] = c.rob.fval[idx]
+				c.FPRegs[u.Rd] = e.fval
 				if c.renameFP[u.Rd] == idx {
 					c.renameFP[u.Rd] = -1
 				}
 			} else {
-				c.IntRegs[u.Rd] = c.rob.ival[idx]
+				c.IntRegs[u.Rd] = e.ival
 				if c.renameInt[u.Rd] == idx {
 					c.renameInt[u.Rd] = -1
 				}
@@ -198,23 +202,23 @@ func (c *Core) commit(cycle uint64) {
 			c.popLSQ(idx)
 		case isa.ClassStore:
 			c.Stats.Stores++
-			c.dmem.CommitStore(cycle, c.rob.addr[idx], c.rob.storeBits[idx], u.Op == isa.TST, int(c.rob.pc[idx]))
+			c.dmem.CommitStore(cycle, e.addr, e.storeBits, u.Op == isa.TST, int(e.pc))
 			c.popLSQ(idx)
 		case isa.ClassBranch:
 			c.Stats.Branches++
-			bf := c.rob.bflags[idx]
+			bf := e.bflags
 			// Train the direction predictor at commit so wrong-path
 			// branches never pollute it; count only committed mispredicts.
-			c.bp.UpdateDirection(int(c.rob.pc[idx]), bf&bTaken != 0, bf&bPredTaken != 0)
+			c.bp.UpdateDirection(int(e.pc), bf&bTaken != 0, bf&bPredTaken != 0)
 			if bf&bMispredict != 0 {
 				c.Stats.Mispredicts++
 			}
 		case isa.ClassALU:
 			if u.Op == isa.TSA {
-				c.env.OnTsa(cycle, uint64(c.rob.ival[idx]))
+				c.env.OnTsa(cycle, uint64(e.ival))
 			}
 		case isa.ClassMarker:
-			if c.commitMarker(cycle, idx, u) {
+			if c.commitMarker(cycle, e) {
 				return
 			}
 		}
@@ -225,7 +229,8 @@ func (c *Core) commit(cycle uint64) {
 // commitMarker applies a committing marker's superthreaded control event.
 // It returns true when the marker ended the thread: the head is then
 // already retired and the pipeline squashed.
-func (c *Core) commitMarker(cycle uint64, idx int, u *isa.Uop) bool {
+func (c *Core) commitMarker(cycle uint64, e *robEntry) bool {
+	u := &e.inst
 	switch u.Op {
 	case isa.BEGIN:
 		c.env.OnBegin(cycle, u.Imm)
@@ -244,7 +249,7 @@ func (c *Core) commitMarker(cycle uint64, idx int, u *isa.Uop) bool {
 		c.env.OnThend(cycle)
 		return true
 	case isa.ABORT:
-		resume := int(c.rob.pc[idx]) + 1
+		resume := int(e.pc) + 1
 		if c.cfg.SeqLoops {
 			c.env.OnAbort(cycle, resume)
 			return false
@@ -333,24 +338,25 @@ func (c *Core) completeRange(cycle uint64, lo, hi int) bool {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
 			idx := w<<6 | b
-			if r := c.rob.req[idx]; r != nil {
+			e := &c.rob[idx]
+			if r := e.req; r != nil {
 				if r.Done && r.DoneCycle <= cycle {
 					r.Release()
-					c.rob.req[idx] = nil
-					c.rob.state[idx] = stDone
+					e.req = nil
+					e.state = stDone
 					maskClear(c.execMask, idx)
-					c.broadcast(idx)
+					c.broadcast(idx, e)
 				}
 				continue
 			}
-			if c.rob.doneAt[idx] > cycle {
+			if e.doneAt > cycle {
 				continue
 			}
-			c.rob.state[idx] = stDone
+			e.state = stDone
 			maskClear(c.execMask, idx)
-			c.broadcast(idx)
-			if cl := c.rob.inst[idx].Class; cl == isa.ClassBranch || cl == isa.ClassJR {
-				if c.resolveControl(cycle, idx, c.posOf(idx)) {
+			c.broadcast(idx, e)
+			if cl := e.inst.Class; cl == isa.ClassBranch || cl == isa.ClassJR {
+				if c.resolveControl(cycle, idx, e) {
 					return false // recovery squashed everything younger
 				}
 			}
@@ -359,43 +365,41 @@ func (c *Core) completeRange(cycle uint64, lo, hi int) bool {
 	return true
 }
 
-// broadcast forwards a completed entry's result to the consumers chained on
-// its wake-up list.
-func (c *Core) broadcast(idx int) {
-	node := c.rob.waitHead[idx]
-	c.rob.waitHead[idx] = -1
-	iv, fv := c.rob.ival[idx], c.rob.fval[idx]
+// broadcast forwards the result of e, the completed entry in slot idx, to
+// the consumers chained on its wake-up list.
+func (c *Core) broadcast(idx int, e *robEntry) {
+	node := e.waitHead
+	e.waitHead = -1
+	iv, fv := e.ival, e.fval
 	for node >= 0 {
 		k := int(node >> 1)
-		op := int(node & 1)
+		w := &c.rob[k]
 		var next int32
-		if op == 0 {
-			next = c.rob.wNext0[k]
-			c.rob.wNext0[k] = -1
+		if node&1 == 0 {
+			next = w.wNext0
+			w.wNext0 = -1
 		} else {
-			next = c.rob.wNext1[k]
-			c.rob.wNext1[k] = -1
+			next = w.wNext1
+			w.wNext1 = -1
 		}
 		// Validate the link: the waiter must still be a live dispatched
 		// entry waiting on this producer (squash rebuilds chains, so stale
 		// links should not occur; this guards the invariant cheaply).
-		if c.rob.state[k] == stDispatched && c.posOf(k) < c.robCount {
-			f := c.rob.flags[k]
-			if op == 0 {
-				if f&fUse1 != 0 && f&fS1Rdy == 0 && int(c.rob.s1rob[k]) == idx {
-					c.rob.flags[k] = f | fS1Rdy
-					c.rob.s1i[k] = iv
-					c.rob.s1f[k] = fv
-					if c.entryReady(k) {
+		if w.state == stDispatched && c.posOf(k) < c.robCount {
+			f := w.flags
+			if node&1 == 0 {
+				if f&(fUse1|fS1Rdy) == fUse1 && int(w.s1rob) == idx {
+					w.flags = f | fS1Rdy
+					w.s1i, w.s1f = iv, fv
+					if ready(w.flags) {
 						maskSet(c.readyMask, k)
 					}
 				}
 			} else {
-				if f&fUse2 != 0 && f&fS2Rdy == 0 && int(c.rob.s2rob[k]) == idx {
-					c.rob.flags[k] = f | fS2Rdy
-					c.rob.s2i[k] = iv
-					c.rob.s2f[k] = fv
-					if c.entryReady(k) {
+				if f&(fUse2|fS2Rdy) == fUse2 && int(w.s2rob) == idx {
+					w.flags = f | fS2Rdy
+					w.s2i, w.s2f = iv, fv
+					if ready(w.flags) {
 						maskSet(c.readyMask, k)
 					}
 				}
@@ -405,42 +409,42 @@ func (c *Core) broadcast(idx int) {
 	}
 }
 
-// resolveControl checks a completed branch or indirect jump against its
-// prediction, training the predictor and recovering on a mismatch. Returns
-// true when recovery squashed younger entries.
-func (c *Core) resolveControl(cycle uint64, idx, agePos int) bool {
-	u := &c.rob.inst[idx]
+// resolveControl checks e, a completed branch or indirect jump in slot idx,
+// against its prediction, training the predictor and recovering on a
+// mismatch. Returns true when recovery squashed younger entries.
+func (c *Core) resolveControl(cycle uint64, idx int, e *robEntry) bool {
+	u := &e.inst
 	jr := u.Class == isa.ClassJR
 	var taken bool
 	var target int
 	if jr {
 		taken = true
-		target = int(c.rob.s1i[idx])
+		target = int(e.s1i)
 	} else {
-		taken = isa.BranchTakenOp(u.Op, c.rob.s1i[idx], c.rob.s2i[idx])
+		taken = isa.BranchTakenOp(u.Op, e.s1i, e.s2i)
 		target = int(u.Imm)
 	}
 	if taken {
-		c.rob.bflags[idx] |= bTaken
+		e.bflags |= bTaken
 	}
-	pc := int(c.rob.pc[idx])
+	pc := int(e.pc)
 	actualNext := pc + 1
 	if taken {
 		actualNext = target
 	}
 	predNext := pc + 1
-	if c.rob.bflags[idx]&bPredTaken != 0 {
-		predNext = int(c.rob.predTarget[idx])
+	if e.bflags&bPredTaken != 0 {
+		predNext = int(e.predTarget)
 	}
 	if actualNext == predNext {
 		return false
 	}
-	c.rob.bflags[idx] |= bMispredict
+	e.bflags |= bMispredict
 	if jr {
 		// Indirect-jump mispredicts are rare; count them at resolution.
 		c.Stats.Mispredicts++
 	}
-	c.recover(cycle, agePos, actualNext)
+	c.recover(cycle, c.posOf(idx), actualNext)
 	return true
 }
 
@@ -450,23 +454,22 @@ func (c *Core) resolveControl(cycle uint64, idx, agePos int) bool {
 // fetch.
 func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 	for p := agePos + 1; p < c.robCount; p++ {
-		idx := c.slotAt(p)
+		e := &c.rob[c.slotAt(p)]
 		c.Stats.SquashedInsts++
-		if r := c.rob.req[idx]; r != nil {
-			r.Release()
-			c.rob.req[idx] = nil
+		if e.req != nil {
+			e.req.Release()
+			e.req = nil
 		}
-		if c.cfg.WrongPathExec && c.rob.inst[idx].Class == isa.ClassLoad && c.rob.flags[idx]&fMemIssued == 0 {
+		if c.cfg.WrongPathExec && e.inst.Class == isa.ClassLoad && e.flags&fMemIssued == 0 {
 			// Compute the effective address if its operand is ready: these
 			// are the "ready" wrong-path loads of Figure 3 that continue to
 			// memory; address-unknown loads squash outright.
-			f := c.rob.flags[idx]
-			if f&fAddrKnown == 0 && f&fS1Rdy != 0 {
-				c.rob.addr[idx] = uint64(c.rob.s1i[idx] + c.rob.inst[idx].Imm)
-				c.rob.flags[idx] = f | fAddrKnown
+			if e.flags&(fAddrKnown|fS1Rdy) == fS1Rdy {
+				e.addr = uint64(e.s1i + e.inst.Imm)
+				e.flags |= fAddrKnown
 			}
-			if c.rob.flags[idx]&fAddrKnown != 0 && len(c.wrongQ) < c.cfg.LSQSize {
-				c.wrongQ = append(c.wrongQ, wrongLoad{addr: c.rob.addr[idx], pc: int(c.rob.pc[idx])})
+			if e.flags&fAddrKnown != 0 && c.wrongLen() < c.cfg.LSQSize {
+				c.wrongQ = append(c.wrongQ, wrongLoad{addr: e.addr, pc: int(e.pc)})
 			}
 		}
 	}
@@ -498,30 +501,25 @@ func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 		c.execMask[i] = 0
 	}
 	for p := 0; p < c.robCount; p++ {
-		idx := c.slotAt(p)
-		c.rob.waitHead[idx] = -1
-		c.rob.parkHead[idx] = -1 // parked loads rejoin the ready set below
+		e := &c.rob[c.slotAt(p)]
+		e.waitHead = -1
+		e.parkHead = -1 // parked loads rejoin the ready set below
 	}
 	for p := 0; p < c.robCount; p++ {
 		idx := c.slotAt(p)
-		if u := &c.rob.inst[idx]; u.Flags&isa.UDest != 0 {
+		e := &c.rob[idx]
+		if u := &e.inst; u.Flags&isa.UDest != 0 {
 			if u.Flags&isa.UFPDest != 0 {
 				c.renameFP[u.Rd] = idx
 			} else {
 				c.renameInt[u.Rd] = idx
 			}
 		}
-		switch c.rob.state[idx] {
+		switch e.state {
 		case stDispatched:
-			c.rob.wNext0[idx], c.rob.wNext1[idx] = -1, -1
-			f := c.rob.flags[idx]
-			if f&fUse1 != 0 && f&fS1Rdy == 0 {
-				c.addWaiter(int(c.rob.s1rob[idx]), idx, 0)
-			}
-			if f&fUse2 != 0 && f&fS2Rdy == 0 {
-				c.addWaiter(int(c.rob.s2rob[idx]), idx, 1)
-			}
-			if c.entryReady(idx) {
+			e.wNext0, e.wNext1 = -1, -1
+			c.addWaiters(idx, e)
+			if ready(e.flags) {
 				maskSet(c.readyMask, idx)
 			}
 		case stExecuting:
@@ -561,10 +559,11 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
 			idx := w<<6 | b
-			u := &c.rob.inst[idx]
+			e := &c.rob[idx]
+			u := &e.inst
 			switch u.Class {
 			case isa.ClassLoad:
-				if c.issueLoad(cycle, idx) {
+				if c.issueLoad(cycle, idx, e) {
 					maskClear(c.readyMask, idx)
 					maskSet(c.execMask, idx)
 					*issued++
@@ -573,23 +572,23 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 				// Stores compute address and data; the cache access happens
 				// at commit (sequential mode) or write-back drain (parallel
 				// mode).
-				c.rob.addr[idx] = uint64(c.rob.s1i[idx] + u.Imm)
+				e.addr = uint64(e.s1i + u.Imm)
 				if u.Flags&isa.UFP2 != 0 { // FST: the data register is FP
-					c.rob.storeBits[idx] = int64(math.Float64bits(c.rob.s2f[idx]))
+					e.storeBits = int64(math.Float64bits(e.s2f))
 				} else {
-					c.rob.storeBits[idx] = c.rob.s2i[idx]
+					e.storeBits = e.s2i
 				}
-				c.rob.flags[idx] |= fAddrKnown | fValKnown
-				c.rob.state[idx] = stExecuting
-				c.rob.doneAt[idx] = cycle + 1
+				e.flags |= fAddrKnown | fValKnown
+				e.state = stExecuting
+				e.doneAt = cycle + 1
 				maskClear(c.readyMask, idx)
 				maskSet(c.execMask, idx)
 				*issued++
-				if c.rob.parkHead[idx] >= 0 {
+				if e.parkHead >= 0 {
 					// Loads parked on this store are younger, so they still
 					// get their attempt in this pass, as an unparked retry
 					// would: re-arm them and reload the word.
-					c.unpark(idx)
+					c.unpark(e)
 					word = c.readyMask[w] & rangeMask(w, lo, hi) &^ (2<<uint(b) - 1)
 				}
 			default:
@@ -597,7 +596,7 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 					continue
 				}
 				c.fuUsed[u.FU]++
-				c.execALU(cycle, idx)
+				c.execALU(cycle, e)
 				maskClear(c.readyMask, idx)
 				maskSet(c.execMask, idx)
 				*issued++
@@ -609,30 +608,30 @@ func (c *Core) issueRange(cycle uint64, lo, hi int, issued *int) {
 // execALU computes a non-memory result, visible after the op latency.
 // Branches and JR produce no register result (their outcome is resolved
 // from the operands at completion), so only ALU ops and JAL write one.
-func (c *Core) execALU(cycle uint64, idx int) {
-	u := &c.rob.inst[idx]
+func (c *Core) execALU(cycle uint64, e *robEntry) {
+	u := &e.inst
 	switch {
 	case u.Class == isa.ClassALU:
-		c.rob.ival[idx], c.rob.fval[idx] = isa.EvalOp(u.Op, u.Imm,
-			c.rob.s1i[idx], c.rob.s2i[idx], c.rob.s1f[idx], c.rob.s2f[idx])
+		e.ival, e.fval = isa.EvalOp(u.Op, u.Imm, e.s1i, e.s2i, e.s1f, e.s2f)
 	case u.Op == isa.JAL:
-		c.rob.ival[idx] = int64(int(c.rob.pc[idx]) + 1)
+		e.ival = int64(int(e.pc) + 1)
 	}
-	c.rob.state[idx] = stExecuting
-	c.rob.doneAt[idx] = cycle + uint64(u.Lat)
+	e.state = stExecuting
+	e.doneAt = cycle + uint64(u.Lat)
 }
 
-// issueLoad attempts to start a load: memory ordering against older stores,
-// store-to-load forwarding, then the DMem (memory buffer + caches).
-func (c *Core) issueLoad(cycle uint64, idx int) bool {
-	if c.rob.flags[idx]&fAddrKnown == 0 {
-		c.rob.addr[idx] = uint64(c.rob.s1i[idx] + c.rob.inst[idx].Imm)
-		c.rob.flags[idx] |= fAddrKnown
+// issueLoad attempts to start e, the load in slot idx: memory ordering
+// against older stores, store-to-load forwarding, then the DMem (memory
+// buffer + caches).
+func (c *Core) issueLoad(cycle uint64, idx int, e *robEntry) bool {
+	if e.flags&fAddrKnown == 0 {
+		e.addr = uint64(e.s1i + e.inst.Imm)
+		e.flags |= fAddrKnown
 	}
-	addr := c.rob.addr[idx]
+	addr := e.addr
 	// Conservative disambiguation: every older store must have a known
 	// address; the nearest older same-address store forwards its data.
-	fwd := -1
+	var fwd *robEntry
 	j := c.lsqHead
 	for i := 0; i < c.lsqCount; i++ {
 		s := c.lsqBuf[j]
@@ -643,68 +642,70 @@ func (c *Core) issueLoad(cycle uint64, idx int) bool {
 		if s == idx {
 			break
 		}
-		if c.rob.inst[s].Class != isa.ClassStore {
+		st := &c.rob[s]
+		if st.inst.Class != isa.ClassStore {
 			continue
 		}
-		if c.rob.flags[s]&fAddrKnown == 0 {
+		if st.flags&fAddrKnown == 0 {
 			// Unresolved older store address: park on that store until
 			// it issues instead of retrying every cycle.
-			c.rob.parkNext[idx] = c.rob.parkHead[s]
-			c.rob.parkHead[s] = int32(idx)
+			e.parkNext = st.parkHead
+			st.parkHead = int32(idx)
 			maskClear(c.readyMask, idx)
 			return false
 		}
-		if c.rob.addr[s] == addr {
-			fwd = s
+		if st.addr == addr {
+			fwd = st
 		}
 	}
-	if fwd >= 0 {
-		if c.rob.flags[fwd]&fValKnown == 0 {
+	if fwd != nil {
+		if fwd.flags&fValKnown == 0 {
 			return false // data not ready yet
 		}
-		c.finishLoad(idx, c.rob.storeBits[fwd], cycle+1)
-		c.rob.flags[idx] |= fMemIssued
+		e.finishLoad(fwd.storeBits, cycle+1)
 		return true
 	}
 	if !c.dmem.LoadsAllowed() {
 		return false
 	}
-	res := c.dmem.TryLoad(cycle, addr, c.wrongMode, int(c.rob.pc[idx]))
+	res := c.dmem.TryLoad(cycle, addr, c.wrongMode, int(e.pc))
 	switch res.Status {
 	case LoadStall, LoadNoPort:
 		return false
 	case LoadForwarded:
-		c.finishLoad(idx, res.Value, cycle+1)
-		c.rob.flags[idx] |= fMemIssued
+		e.finishLoad(res.Value, cycle+1)
 		return true
 	default: // LoadIssued
-		c.rob.req[idx] = res.Req
-		c.finishLoadValue(idx, res.Value)
-		c.rob.state[idx] = stExecuting
-		c.rob.flags[idx] |= fMemIssued
+		e.req = res.Req
+		e.setLoadValue(res.Value)
+		e.state = stExecuting
+		e.flags |= fMemIssued
 		return true
 	}
 }
 
-// unpark returns every load parked on store slot s to the ready set.
-func (c *Core) unpark(s int) {
-	for k := c.rob.parkHead[s]; k >= 0; k = c.rob.parkNext[k] {
+// unpark returns every load parked on store st to the ready set.
+func (c *Core) unpark(st *robEntry) {
+	for k := st.parkHead; k >= 0; k = c.rob[k].parkNext {
 		maskSet(c.readyMask, int(k))
 	}
-	c.rob.parkHead[s] = -1
+	st.parkHead = -1
 }
 
-func (c *Core) finishLoad(idx int, bits int64, doneAt uint64) {
-	c.finishLoadValue(idx, bits)
-	c.rob.state[idx] = stExecuting
-	c.rob.doneAt[idx] = doneAt
+// finishLoad completes a load whose value is known now (forwarded from a
+// store or the memory buffer), visible at doneAt.
+func (e *robEntry) finishLoad(bits int64, doneAt uint64) {
+	e.setLoadValue(bits)
+	e.state = stExecuting
+	e.doneAt = doneAt
+	e.flags |= fMemIssued
 }
 
-func (c *Core) finishLoadValue(idx int, bits int64) {
-	if c.rob.inst[idx].Flags&isa.UFPDest != 0 { // FLD
-		c.rob.fval[idx] = math.Float64frombits(uint64(bits))
+func (e *robEntry) setLoadValue(bits int64) {
+	if e.inst.Flags&isa.UFPDest != 0 { // FLD
+		e.fval = math.Float64frombits(uint64(bits))
 	} else {
-		c.rob.ival[idx] = bits
+		e.ival = bits
 	}
 }
 
@@ -712,13 +713,15 @@ func (c *Core) finishLoadValue(idx int, bits int64) {
 // as ports allow; correct-path demand accesses already had priority this
 // cycle (issue runs first).
 func (c *Core) drainWrongQ(cycle uint64) {
-	for len(c.wrongQ) > 0 {
-		if !c.dmem.WrongLoad(cycle, c.wrongQ[0].addr, c.wrongQ[0].pc) {
+	for c.wrongHead < len(c.wrongQ) {
+		w := &c.wrongQ[c.wrongHead]
+		if !c.dmem.WrongLoad(cycle, w.addr, w.pc) {
 			return
 		}
 		c.Stats.WrongPathLoadsIssued++
-		c.wrongQ = c.wrongQ[1:]
+		c.wrongHead++
 	}
+	c.wrongQ, c.wrongHead = c.wrongQ[:0], 0
 }
 
 // fetch brings new instructions into the ROB: up to IssueWidth per cycle,
@@ -768,44 +771,39 @@ func (c *Core) dispatch(cycle uint64, u *isa.Uop) {
 		c.robTail = 0
 	}
 	c.robCount++
-	c.rob.inst[idx] = *u
-	c.rob.pc[idx] = int32(c.fetchPC)
-	c.rob.state[idx] = stDispatched
-	c.rob.flags[idx] = 0
-	c.rob.bflags[idx] = 0
-	c.rob.waitHead[idx] = -1
-	c.rob.wNext0[idx], c.rob.wNext1[idx] = -1, -1
-	c.rob.parkHead[idx] = -1
+	e := &c.rob[idx]
+	e.inst = *u
+	e.pc = int32(c.fetchPC)
+	e.state = stDispatched
+	e.flags = 0
+	e.bflags = 0
+	e.waitHead = -1
+	e.wNext0, e.wNext1 = -1, -1
+	e.parkHead = -1
 	maskClear(c.readyMask, idx)
 	maskClear(c.execMask, idx)
 
 	uf := u.Flags
 	if uf&isa.UUse1 != 0 {
-		c.rob.flags[idx] |= fUse1
-		c.readOperand(idx, 0, u.Rs1, uf&isa.UFP1 != 0)
+		e.flags |= fUse1
+		c.readOperand(e, 0, u.Rs1, uf&isa.UFP1 != 0)
 	}
 	if uf&isa.UUse2 != 0 {
-		c.rob.flags[idx] |= fUse2
-		c.readOperand(idx, 1, u.Rs2, uf&isa.UFP2 != 0)
+		e.flags |= fUse2
+		c.readOperand(e, 1, u.Rs2, uf&isa.UFP2 != 0)
 	}
 	if c.metrics != nil {
-		c.observeLoadUse(idx)
+		c.observeLoadUse(idx, e)
 	}
 
 	// Markers with no execution latency complete immediately at dispatch+1.
 	if u.Class == isa.ClassMarker {
-		c.rob.state[idx] = stExecuting
-		c.rob.doneAt[idx] = cycle + 1
+		e.state = stExecuting
+		e.doneAt = cycle + 1
 		maskSet(c.execMask, idx)
 	} else {
-		f := c.rob.flags[idx]
-		if f&fUse1 != 0 && f&fS1Rdy == 0 {
-			c.addWaiter(int(c.rob.s1rob[idx]), idx, 0)
-		}
-		if f&fUse2 != 0 && f&fS2Rdy == 0 {
-			c.addWaiter(int(c.rob.s2rob[idx]), idx, 1)
-		}
-		if c.entryReady(idx) {
+		c.addWaiters(idx, e)
+		if ready(e.flags) {
 			maskSet(c.readyMask, idx)
 		}
 	}
@@ -850,40 +848,41 @@ func (c *Core) dispatch(cycle uint64, u *isa.Uop) {
 		next = int(u.Imm)
 	case isa.ClassJR:
 		if tgt, ok := c.bp.PopRAS(); ok {
-			c.rob.bflags[idx] |= bPredTaken
-			c.rob.predTarget[idx] = int32(tgt)
+			e.bflags |= bPredTaken
+			e.predTarget = int32(tgt)
 			next = tgt
 		} else {
-			c.rob.predTarget[idx] = int32(c.fetchPC + 1)
+			e.predTarget = int32(c.fetchPC + 1)
 		}
 	case isa.ClassBranch:
-		c.rob.predTarget[idx] = int32(u.Imm)
+		e.predTarget = int32(u.Imm)
 		if c.bp.PredictDirection(c.fetchPC) {
-			c.rob.bflags[idx] |= bPredTaken
-			next = int(c.rob.predTarget[idx])
+			e.bflags |= bPredTaken
+			next = int(e.predTarget)
 		}
 	}
 	c.fetchPC = next
 }
 
-// observeLoadUse reports, for each source operand still waiting on an
-// in-flight load, the program-order distance (in instructions) from that
-// load to this consumer — the window the memory system has to hide the
-// load's latency. Called only when a metrics collector is attached.
-func (c *Core) observeLoadUse(idx int) {
-	f := c.rob.flags[idx]
-	if f&fUse1 != 0 && f&fS1Rdy == 0 && c.rob.inst[c.rob.s1rob[idx]].Class == isa.ClassLoad {
-		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s1rob[idx]))))
+// observeLoadUse reports, for each source operand of e (in slot idx) still
+// waiting on an in-flight load, the program-order distance (in
+// instructions) from that load to this consumer — the window the memory
+// system has to hide the load's latency. Called only when a metrics
+// collector is attached.
+func (c *Core) observeLoadUse(idx int, e *robEntry) {
+	f := e.flags
+	if f&(fUse1|fS1Rdy) == fUse1 && c.rob[e.s1rob].inst.Class == isa.ClassLoad {
+		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(e.s1rob))))
 	}
-	if f&fUse2 != 0 && f&fS2Rdy == 0 && c.rob.inst[c.rob.s2rob[idx]].Class == isa.ClassLoad {
-		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s2rob[idx]))))
+	if f&(fUse2|fS2Rdy) == fUse2 && c.rob[e.s2rob].inst.Class == isa.ClassLoad {
+		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(e.s2rob))))
 	}
 }
 
-// readOperand resolves source register r into operand op (0 or 1) of slot
-// idx: a ready value, or a link to the producer's ROB slot plus a pending
-// wake-up registration (done by dispatch after both operands resolve).
-func (c *Core) readOperand(idx, op int, r uint8, fp bool) {
+// readOperand resolves source register r into operand op (0 or 1) of e: a
+// ready value, or a link to the producer's ROB slot plus a pending wake-up
+// registration (done by dispatch after both operands resolve).
+func (c *Core) readOperand(e *robEntry, op int, r uint8, fp bool) {
 	prod := -1
 	rdy := false
 	var iv int64
@@ -897,24 +896,24 @@ func (c *Core) readOperand(idx, op int, r uint8, fp bool) {
 	} else if prod = c.renameInt[r]; prod < 0 {
 		rdy, iv = true, c.IntRegs[r]
 	}
-	if prod >= 0 && c.rob.state[prod] == stDone {
-		rdy, iv, fv = true, c.rob.ival[prod], c.rob.fval[prod]
+	if prod >= 0 {
+		if p := &c.rob[prod]; p.state == stDone {
+			rdy, iv, fv = true, p.ival, p.fval
+		}
 	}
 	if op == 0 {
 		if rdy {
-			c.rob.flags[idx] |= fS1Rdy
-			c.rob.s1i[idx] = iv
-			c.rob.s1f[idx] = fv
+			e.flags |= fS1Rdy
+			e.s1i, e.s1f = iv, fv
 		} else {
-			c.rob.s1rob[idx] = int32(prod)
+			e.s1rob = int32(prod)
 		}
 	} else {
 		if rdy {
-			c.rob.flags[idx] |= fS2Rdy
-			c.rob.s2i[idx] = iv
-			c.rob.s2f[idx] = fv
+			e.flags |= fS2Rdy
+			e.s2i, e.s2f = iv, fv
 		} else {
-			c.rob.s2rob[idx] = int32(prod)
+			e.s2rob = int32(prod)
 		}
 	}
 }

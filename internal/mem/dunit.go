@@ -68,11 +68,13 @@ func (d *DUnit) init(h *Hierarchy, tu int, cfg Config) error {
 		l1:   l1,
 		mshr: newDMSHR(cfg.L1DMSHRs),
 	}
+	l1.ShareGeneration(&h.resGen)
 	if cfg.Side != SideNone {
 		d.side, err = cache.NewFullyAssoc(cfg.SideEntries, cfg.L1DBlock)
 		if err != nil {
 			return err
 		}
+		d.side.ShareGeneration(&h.resGen)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/bits"
+
 	"repro/internal/attrib"
 	"repro/internal/cache"
 	"repro/internal/chaos"
@@ -41,6 +43,12 @@ type Hierarchy struct {
 	warmBlocks blockSet
 	warmSrc    int
 
+	// resGen is the resident-set generation every L1D and side buffer
+	// counts in (cache.ShareGeneration); upd is the last SequentialUpdate
+	// sweep, replayed while resGen has not moved.
+	resGen uint64
+	upd    updateMemo
+
 	// epoch counts BeginCycle calls; a DUnit whose portEpoch lags it
 	// clears its port count on first use (DUnit.ports).
 	epoch uint64
@@ -51,6 +59,17 @@ type Hierarchy struct {
 	DRAMFills  uint64
 	Writebacks uint64
 	UpdateBus  uint64 // sequential-mode coherence bus transactions
+}
+
+// updateMemo records one SequentialUpdate sweep: the storing TU, the
+// block, the resident-set generation it ran at and the TUs whose L1D or
+// side buffer held the block.
+type updateMemo struct {
+	src     int
+	block   uint64
+	gen     uint64
+	holders uint64
+	valid   bool
 }
 
 type l2Req struct {
@@ -189,15 +208,35 @@ func (h *Hierarchy) writeback(block uint64) {
 // SequentialUpdate propagates a store executed during sequential execution
 // to every other (idle) thread unit's private caches via the shared bus
 // update protocol of §3.2.2. It adds bus traffic but no stall cycles.
+//
+// A store to the block the last sweep updated, from the same TU, with no
+// L1D or side-buffer resident-set change since (resGen unmoved), finds the
+// same holders: it replays the sweep's counts instead of probing every
+// peer. The holders' dirty bits are already set, and no path clears a
+// dirty bit without changing the resident set. The memo is exact only
+// while every path that inserts a new block into, removes one from, or
+// resets an L1D or side buffer bumps resGen, which cache.Insert, Remove
+// and Reset do. TU ids stay below 64, as for Tick's woken set.
 func (h *Hierarchy) SequentialUpdate(srcTU int, addr uint64) {
+	block := h.dunits[srcTU].l1.BlockAddr(addr)
+	if u := &h.upd; u.valid && u.gen == h.resGen && u.block == block && u.src == srcTU {
+		for m := u.holders; m != 0; m &= m - 1 {
+			h.dunits[bits.TrailingZeros64(m)].UpdateRecv++
+		}
+		h.UpdateBus += uint64(bits.OnesCount64(u.holders))
+		return
+	}
+	var holders uint64
 	for tu := range h.dunits {
 		if tu == srcTU {
 			continue
 		}
 		if h.dunits[tu].applyUpdate(addr) {
 			h.UpdateBus++
+			holders |= 1 << uint(tu)
 		}
 	}
+	h.upd = updateMemo{src: srcTU, block: block, gen: h.resGen, holders: holders, valid: true}
 }
 
 // Tick advances the shared levels by one cycle: the L2 accepts one request,

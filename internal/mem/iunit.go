@@ -7,6 +7,12 @@ import "repro/internal/cache"
 // granularity: the core asks whether the block containing a PC is resident;
 // a miss starts a fill and the core stalls until it lands. One outstanding
 // instruction miss per unit, which matches an in-order front end.
+//
+// Fetch memo: lastHit is the block the last fetch hit, and a fetch of the
+// same block answers true without a cache lookup. Fetch is the only reader
+// of the L1I, so that block is still the most recent line of its set and
+// the skipped LRU refresh changes no replacement order. Every other path
+// that touches the L1I (fill, WarmFetch, Reset) drops the memo first.
 type IUnit struct {
 	h   *Hierarchy
 	tu  int
@@ -15,6 +21,7 @@ type IUnit struct {
 
 	pending      bool
 	pendingBlock uint64
+	lastHit      uint64 // noBlock when no fetch hit is remembered
 
 	// Statistics.
 	Fetches uint64
@@ -30,9 +37,12 @@ func (iu *IUnit) init(h *Hierarchy, tu int, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	*iu = IUnit{h: h, tu: tu, cfg: cfg, l1i: l1i}
+	*iu = IUnit{h: h, tu: tu, cfg: cfg, l1i: l1i, lastHit: noBlock}
 	return nil
 }
+
+// noBlock is never a block address: blocks are aligned.
+const noBlock = ^uint64(0)
 
 // instAddr maps an instruction index to its simulated byte address in the
 // code region of the shared address space.
@@ -42,13 +52,17 @@ func instAddr(pc int) uint64 { return instBase + uint64(pc)*16 }
 // miss it starts the fill (if none is outstanding) and returns false; the
 // core should retry each cycle until the fill lands.
 func (iu *IUnit) FetchReady(cycle uint64, pc int) bool {
-	addr := instAddr(pc)
-	block := iu.l1i.BlockAddr(addr)
 	if iu.pending {
 		return false
 	}
 	iu.Fetches++
+	addr := instAddr(pc)
+	block := iu.l1i.BlockAddr(addr)
+	if block == iu.lastHit {
+		return true
+	}
 	if _, hit := iu.l1i.Access(addr, false); hit {
+		iu.lastHit = block
 		return true
 	}
 	iu.Misses++
@@ -60,6 +74,7 @@ func (iu *IUnit) FetchReady(cycle uint64, pc int) bool {
 
 // fill receives the missing instruction block from the L2.
 func (iu *IUnit) fill(block uint64) {
+	iu.lastHit = noBlock
 	iu.l1i.Insert(block, 0, false)
 	if iu.pending && block == iu.pendingBlock {
 		iu.pending = false
@@ -69,6 +84,7 @@ func (iu *IUnit) fill(block uint64) {
 // Reset restores power-on state.
 func (iu *IUnit) Reset() {
 	iu.l1i.Reset()
+	iu.lastHit = noBlock
 	iu.pending = false
 	iu.Fetches, iu.Misses = 0, 0
 }

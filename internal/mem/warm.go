@@ -83,6 +83,7 @@ func (d *DUnit) warmInsertL1(block uint64, dirty bool) {
 // the I-cache (pc granularity; callers typically invoke it once per block
 // crossing, not per instruction).
 func (iu *IUnit) WarmFetch(pc int) {
+	iu.lastHit = noBlock
 	addr := instAddr(pc)
 	block := iu.l1i.BlockAddr(addr)
 	if iu.l1i.Touch(block) {

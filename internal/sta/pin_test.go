@@ -50,31 +50,31 @@ func pinCases() []pinCase {
 		}
 	}
 	return []pinCase{
-		{"vpr/wth-wp-wec/8tu", "vpr", config.WTHWPWEC, 8, nil, 107076, 1081, nil},
-		{"gzip/wth-wp-wec/8tu", "gzip", config.WTHWPWEC, 8, nil, 69415, 1138, nil},
-		{"mcf/wth-wp-wec/8tu", "mcf", config.WTHWPWEC, 8, nil, 148836, 4540, nil},
-		{"parser/wth-wp-wec/8tu", "parser", config.WTHWPWEC, 8, nil, 138473, 1123, nil},
-		{"equake/wth-wp-wec/8tu", "equake", config.WTHWPWEC, 8, nil, 160259, 1209, nil},
-		{"mesa/wth-wp-wec/8tu", "mesa", config.WTHWPWEC, 8, nil, 318566, 4717, nil},
-		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 1149, nil},
-		{"gzip/orig/1tu", "gzip", config.Orig, 1, nil, 61747, 172, nil},
+		{"vpr/wth-wp-wec/8tu", "vpr", config.WTHWPWEC, 8, nil, 107076, 930, nil},
+		{"gzip/wth-wp-wec/8tu", "gzip", config.WTHWPWEC, 8, nil, 69415, 987, nil},
+		{"mcf/wth-wp-wec/8tu", "mcf", config.WTHWPWEC, 8, nil, 148836, 1035, nil},
+		{"parser/wth-wp-wec/8tu", "parser", config.WTHWPWEC, 8, nil, 138473, 972, nil},
+		{"equake/wth-wp-wec/8tu", "equake", config.WTHWPWEC, 8, nil, 160259, 1037, nil},
+		{"mesa/wth-wp-wec/8tu", "mesa", config.WTHWPWEC, 8, nil, 318566, 2454, nil},
+		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 998, nil},
+		{"gzip/orig/1tu", "gzip", config.Orig, 1, nil, 61747, 154, nil},
 		{"mcf/wth-wp-wec/8tu+metrics", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Metrics = metrics.NewCollector(10000) }, 148836, 5020, nil},
+			func(m *sta.Machine) { m.Metrics = metrics.NewCollector(10000) }, 148836, 1515, nil},
 		{"mcf/wth-wp-wec/8tu+tap", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Tap = &sta.ProgressTap{} }, 148836, 4544, nil},
-		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 6363, nil},
-		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 7869, nil},
-		{"mcf/wth-wp-wec/8tu+sampled", "mcf", config.WTHWPWEC, 8, sampled(0), 18546, 524, &stats.Sampled{
+			func(m *sta.Machine) { m.Tap = &sta.ProgressTap{} }, 148836, 1039, nil},
+		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 1608, nil},
+		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 2380, nil},
+		{"mcf/wth-wp-wec/8tu+sampled", "mcf", config.WTHWPWEC, 8, sampled(0), 18546, 376, &stats.Sampled{
 			EstCycles: 79319.79390432728, EstCyclesLo: 77024.95789291285, EstCyclesHi: 82224.87707692308,
 			IPC: 2.4419900497512437, IPCLo: 2.3305844388669774, IPCHi: 2.5378188214599824,
 			L1DMiss: 0.015440877691995123, L1DMissLo: 0.0009615384615384616, L1DMissHi: 0.04786990380210719,
 		}},
-		{"mcf/wth-wp-wec/8tu+sampled-seed99", "mcf", config.WTHWPWEC, 8, sampled(99), 18546, 524, &stats.Sampled{
+		{"mcf/wth-wp-wec/8tu+sampled-seed99", "mcf", config.WTHWPWEC, 8, sampled(99), 18546, 376, &stats.Sampled{
 			EstCycles: 79319.79390432728, EstCyclesLo: 77028.45158605382, EstCyclesHi: 82224.87707692308,
 			IPC: 2.4419900497512437, IPCLo: 2.3305844388669774, IPCHi: 2.537667214268951,
 			L1DMiss: 0.015440877691995123, L1DMissLo: 0.0009615384615384616, L1DMissHi: 0.04809894640403115,
 		}},
-		{"cycle-loop/1tu", "", "", 1, nil, 100423, 64, nil},
+		{"cycle-loop/1tu", "", "", 1, nil, 100423, 46, nil},
 	}
 }
 
