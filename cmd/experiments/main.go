@@ -6,13 +6,15 @@
 //	experiments -run fig11
 //	experiments -run all [-scale 2] [-workers 8] [-v]
 //
-// Observability (see README "Observability" and "Live telemetry"):
+// Observability (see README "Observability" and "Live telemetry"): -out
+// collects every artifact of the sweep in one directory — per-cell metrics
+// and attribution JSON, the span journal and its Perfetto rendering,
+// flight-recorder dumps and CPU/heap profiles of the instrumented sweep
+// (with -telemetry-addr, /debug/pprof/profile owns CPU profiling and no
+// cpu.pprof is written):
 //
-//	experiments -run fig11 -v -interval 5000 -metrics-dir out/
-//	experiments -run gain -v -attrib-dir attrib/
-//	experiments -run all -cpuprofile cpu.pprof
-//	experiments -run all -telemetry-addr 127.0.0.1:9180 -telemetry-dir tel/
-//	experiments -span-timeline tel/spans.jsonl
+//	experiments -run fig11 -v -out out/
+//	experiments -run all -telemetry-addr 127.0.0.1:9180 -out out/
 //
 // Robustness (see README "Robustness"): runs are supervised — a failed
 // cell is quarantined and the rest of the suite still completes; Ctrl-C
@@ -46,10 +48,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -61,85 +63,70 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one experiments invocation and returns its exit status: 0
+// on success, 1 when an experiment fails, 2 on a command-line error and
+// 130 when interrupted.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list available experiments")
-		runID   = flag.String("run", "", "experiment id (table2, fig8..fig17) or 'all'")
-		scale   = flag.Int("scale", 1, "workload scale factor (multiplies window counts)")
-		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		verbose = flag.Bool("v", false, "print per-simulation progress")
-		format  = flag.String("format", "table", "output format: table, csv, or json")
+		list    = fs.Bool("list", false, "list available experiments")
+		runID   = fs.String("run", "", "experiment id (table2, fig8..fig17) or 'all'")
+		scale   = fs.Int("scale", 1, "workload scale factor (multiplies window counts)")
+		workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		verbose = fs.Bool("v", false, "print per-simulation progress")
+		format  = fs.String("format", "table", "output format: table, csv, or json")
 
-		interval   = flag.Uint64("interval", 0, "metrics sampling interval in cycles (0 = off; needs -metrics-dir to export)")
-		metricsDir = flag.String("metrics-dir", "", "write one interval-series metrics JSON per simulation into this directory")
-		attribDir  = flag.String("attrib-dir", "", "attach fill attribution and write one report JSON per simulation into this directory")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		out           = fs.String("out", "", "write every run artifact (per-cell metrics and attribution, spans, flight dumps, profiles) into this directory")
+		telemetryAddr = fs.String("telemetry-addr", "", "serve live introspection HTTP (/metrics, /runs, /healthz, /debug/pprof) on this address")
 
-		telemetryAddr = flag.String("telemetry-addr", "", "serve live introspection HTTP (/metrics, /runs, /healthz, /debug/pprof) on this address")
-		telemetryDir  = flag.String("telemetry-dir", "", "write the span journal (spans.jsonl) and flight-recorder dumps into this directory")
-		spanTimeline  = flag.String("span-timeline", "", "convert a span JSONL file to Perfetto trace JSON (writes <file>.trace.json) and exit")
+		sampleWarmup  = fs.Uint64("sample-warmup", 0, "sampled simulation: detailed-but-unmeasured warmup instructions per period")
+		sampleMeasure = fs.Uint64("sample-measure", 0, "sampled simulation: measured detailed instructions per period (0 = fully detailed runs)")
+		samplePeriod  = fs.Uint64("sample-period", 0, "sampled simulation: period length in instructions (must exceed warmup+measure; the rest fast-forwards)")
+		sampleSeed    = fs.Uint64("sample-seed", 0, "sampled simulation: bootstrap RNG seed for the confidence intervals (0 = default)")
 
-		sampleWarmup  = flag.Uint64("sample-warmup", 0, "sampled simulation: detailed-but-unmeasured warmup instructions per period")
-		sampleMeasure = flag.Uint64("sample-measure", 0, "sampled simulation: measured detailed instructions per period (0 = fully detailed runs)")
-		samplePeriod  = flag.Uint64("sample-period", 0, "sampled simulation: period length in instructions (must exceed warmup+measure; the rest fast-forwards)")
-		sampleSeed    = flag.Uint64("sample-seed", 0, "sampled simulation: bootstrap RNG seed for the confidence intervals (0 = default)")
+		timeout    = fs.Duration("timeout", 0, "wall-clock limit per simulation (0 = none)")
+		ledgerPath = fs.String("ledger", "", "journal completed simulations to this JSONL file")
+		resume     = fs.Bool("resume", false, "preload finished results from -ledger and detailed cells from -archive before running")
+		archiveDir = fs.String("archive", "", "archive one manifest per completed cell into this content-addressed run archive (query with simql)")
 
-		timeout    = flag.Duration("timeout", 0, "wall-clock limit per simulation (0 = none)")
-		ledgerPath = flag.String("ledger", "", "journal completed simulations to this JSONL file")
-		resume     = flag.Bool("resume", false, "preload finished results from -ledger and detailed cells from -archive before running")
-		archiveDir = flag.String("archive", "", "archive one manifest per completed cell into this content-addressed run archive (query with simql)")
+		wgenSeed   = fs.Uint64("wgen-seed", 1, "search seed for -run wgen (fixes the whole synthesis trajectory)")
+		wgenCount  = fs.Int("wgen-count", 200, "generated programs per -run wgen invocation")
+		wgenGenome = fs.String("wgen-genome", "", "run one synthesized workload (canonical line or .wgen file) instead of the search")
+		wgenCorpus = fs.String("wgen-corpus", "", "write coverage-adding (and any failing) genomes into this directory")
 
-		wgenSeed   = flag.Uint64("wgen-seed", 1, "search seed for -run wgen (fixes the whole synthesis trajectory)")
-		wgenCount  = flag.Int("wgen-count", 200, "generated programs per -run wgen invocation")
-		wgenGenome = flag.String("wgen-genome", "", "run one synthesized workload (canonical line or .wgen file) instead of the search")
-		wgenCorpus = flag.String("wgen-corpus", "", "write coverage-adding (and any failing) genomes into this directory")
-
-		chaosSeed     = flag.Uint64("chaos-seed", 0, "seed for the deterministic fault injector")
-		chaosPanic    = flag.Float64("chaos-panic", 0, "per-cycle machine-step panic probability")
-		chaosCore     = flag.Float64("chaos-core-panic", 0, "per-step core panic probability")
-		chaosLivelock = flag.Float64("chaos-livelock", 0, "per-cycle livelock probability (trips the watchdog)")
-		chaosSlow     = flag.Float64("chaos-slow", 0, "per-cycle slow-cycle probability (trips -timeout)")
-		chaosLedger   = flag.Float64("chaos-ledger-fail", 0, "per-append transient ledger write-failure probability")
+		chaosSeed     = fs.Uint64("chaos-seed", 0, "seed for the deterministic fault injector")
+		chaosPanic    = fs.Float64("chaos-panic", 0, "per-cycle machine-step panic probability")
+		chaosCore     = fs.Float64("chaos-core-panic", 0, "per-step core panic probability")
+		chaosLivelock = fs.Float64("chaos-livelock", 0, "per-cycle livelock probability (trips the watchdog)")
+		chaosSlow     = fs.Float64("chaos-slow", 0, "per-cycle slow-cycle probability (trips -timeout)")
+		chaosLedger   = fs.Float64("chaos-ledger-fail", 0, "per-append transient ledger write-failure probability")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	switch *format {
 	case "table", "csv", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown -format %q (want table, csv or json)\n", *format)
-		flag.Usage()
+		fmt.Fprintf(stderr, "experiments: unknown -format %q (want table, csv or json)\n", *format)
+		fs.Usage()
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	if *spanTimeline != "" {
-		if err := convertSpans(*spanTimeline); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	if *list || *runID == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range harness.All() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
 		if *runID == "" {
-			fmt.Println("\nrun one with: experiments -run <id>   (or -run all)")
+			fmt.Fprintln(stdout, "\nrun one with: experiments -run <id>   (or -run all)")
 		}
 		return 0
 	}
@@ -161,28 +148,32 @@ func run() int {
 		SlowCycle:    *chaosSlow,
 	}
 	if *verbose {
-		r.Verbose = os.Stderr
+		r.Verbose = stderr
 	}
+	r.Out = *out
 	var tr *telemetry.Run
-	if *telemetryAddr != "" || *telemetryDir != "" {
+	if *telemetryAddr != "" || *out != "" {
 		var err error
-		tr, err = telemetry.Start(telemetry.Config{Addr: *telemetryAddr, Dir: *telemetryDir})
+		tr, err = telemetry.Start(telemetry.Config{
+			Addr: *telemetryAddr,
+			Dir:  *out,
+			Log:  slog.New(slog.NewTextHandler(stderr, nil)),
+		})
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
-		defer tr.Close()
+		defer func() {
+			if err := tr.Close(); err != nil && code == 0 {
+				code = fail(stderr, err)
+			}
+		}()
 		r.Telemetry = tr
-	}
-	if *metricsDir != "" {
-		if *interval == 0 {
-			*interval = 10000
+		if *out != "" {
+			if err := tr.StartProfile(); err != nil {
+				return fail(stderr, err)
+			}
 		}
-		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			return fail(err)
-		}
-		r.MetricsDir = *metricsDir
 	}
-	r.MetricsInterval = *interval
 	r.Sample = sample.Config{
 		WarmupInsts:  *sampleWarmup,
 		MeasureInsts: *sampleMeasure,
@@ -190,23 +181,16 @@ func run() int {
 		Seed:         *sampleSeed,
 	}
 	if err := r.Sample.Validate(); err != nil {
-		return fail(err)
-	}
-	if *attribDir != "" {
-		if err := os.MkdirAll(*attribDir, 0o755); err != nil {
-			return fail(err)
-		}
-		r.Attrib = true
-		r.AttribDir = *attribDir
+		return fail(stderr, err)
 	}
 
 	if *resume && *ledgerPath == "" && *archiveDir == "" {
-		return fail(fmt.Errorf("-resume requires -ledger or -archive"))
+		return fail(stderr, fmt.Errorf("-resume requires -ledger or -archive"))
 	}
 	if *archiveDir != "" {
 		st, err := runstore.Open(*archiveDir)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		defer st.Close()
 		r.Archive = st
@@ -219,14 +203,14 @@ func run() int {
 			archived := harness.ArchivedResults(st, *scale)
 			r.Prefill(archived)
 			if *verbose {
-				fmt.Fprintf(os.Stderr, "resume: preloaded %d archived results from %s\n", len(archived), *archiveDir)
+				fmt.Fprintf(stderr, "resume: preloaded %d archived results from %s\n", len(archived), *archiveDir)
 			}
 		}
 	}
 	if *ledgerPath != "" {
 		led, prior, err := harness.OpenLedger(*ledgerPath, *scale)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		defer led.Close()
 		if *chaosLedger > 0 {
@@ -239,7 +223,7 @@ func run() int {
 		if *resume {
 			r.Prefill(prior)
 			if *verbose {
-				fmt.Fprintf(os.Stderr, "resume: preloaded %d journaled results from %s\n", len(prior), *ledgerPath)
+				fmt.Fprintf(stderr, "resume: preloaded %d journaled results from %s\n", len(prior), *ledgerPath)
 			}
 		}
 	}
@@ -250,14 +234,14 @@ func run() int {
 			count:  *wgenCount,
 			genome: *wgenGenome,
 			corpus: *wgenCorpus,
-		})
+		}, stdout, stderr)
 	}
 
 	exps := harness.All()
 	if *runID != "all" {
 		e, err := harness.ByID(*runID)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		exps = []harness.Experiment{e}
 	}
@@ -268,7 +252,7 @@ func run() int {
 		}
 		start := time.Now()
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "== %s: %s\n", e.ID, e.Title)
+			fmt.Fprintf(stderr, "== %s: %s\n", e.ID, e.Title)
 		}
 		if tr != nil {
 			tr.BeginSuite(e.ID)
@@ -279,43 +263,29 @@ func run() int {
 		}
 		if err != nil {
 			// Quarantined: report, keep the rest of the suite moving.
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.ID, err)
 			var se *harness.SuiteError
 			if errors.As(err, &se) && *verbose {
-				fmt.Fprint(os.Stderr, se.Detail())
+				fmt.Fprint(stderr, se.Detail())
 			}
 			failed = append(failed, e.ID)
 			continue
 		}
 		switch *format {
 		case "csv":
-			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, tbl.CSV())
+			fmt.Fprintf(stdout, "# %s: %s\n%s\n", e.ID, e.Title, tbl.CSV())
 			continue
 		case "json":
 			js, err := tbl.JSON()
 			if err != nil {
-				return fail(err)
+				return fail(stderr, err)
 			}
-			fmt.Println(js)
+			fmt.Fprintln(stdout, js)
 			continue
 		}
-		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
-		fmt.Print(tbl.String())
-		fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
-	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return fail(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
+		fmt.Fprintf(stdout, "== %s: %s ==\n", e.ID, e.Title)
+		fmt.Fprint(stdout, tbl.String())
+		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
 
 	if ctx.Err() != nil {
@@ -329,43 +299,18 @@ func run() int {
 		if tr != nil {
 			hint += fmt.Sprintf(" (telemetry run %s)", tr.ID)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: interrupted, finished work flushed%s\n", hint)
+		fmt.Fprintf(stderr, "experiments: interrupted, finished work flushed%s\n", hint)
 		return 130
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: %d of %d experiments failed: %s\n",
+		fmt.Fprintf(stderr, "experiments: %d of %d experiments failed: %s\n",
 			len(failed), len(exps), strings.Join(failed, ", "))
 		return 1
 	}
 	return 0
 }
 
-// convertSpans renders a span JSONL journal as Perfetto trace JSON next to
-// it (<file>.trace.json), so suite spans load in the same UI as the
-// cycle-level timeline from -timeline.
-func convertSpans(path string) error {
-	in, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	outPath := path + ".trace.json"
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.ConvertSpans(in, out); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, err)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
 	return 1
 }

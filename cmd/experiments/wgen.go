@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -33,11 +34,11 @@ type wgenOptions struct {
 }
 
 // runWgen executes the synthesis loop on an already-configured runner, so
-// -ledger, -archive, -chaos-*, -workers, and -telemetry-* compose with it.
-func runWgen(r *harness.Runner, opts wgenOptions) int {
+// -ledger, -archive, -chaos-*, -workers, -out and -telemetry-addr compose with it.
+func runWgen(r *harness.Runner, opts wgenOptions, stdout, stderr io.Writer) int {
 	cfg := config.Main(8)
 	if err := config.Apply(config.WTHWPWEC, &cfg); err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	// The coverage signal spans its attribution dimensions only with the
 	// collector attached.
@@ -60,22 +61,22 @@ func runWgen(r *harness.Runner, opts wgenOptions) int {
 	if opts.genome != "" {
 		g, err := wgen.Load(opts.genome)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		p, err := g.Program()
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		sim, rep, err := runOne(g, p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wgen: %s failed: %v\n", g.Canonical(), err)
+			fmt.Fprintf(stderr, "wgen: %s failed: %v\n", g.Canonical(), err)
 			return 1
 		}
 		sig := wgen.Buckets(sim, rep)
-		fmt.Printf("%s\n%s\ncycles %d, commits %d, %d behavior buckets:\n",
+		fmt.Fprintf(stdout, "%s\n%s\ncycles %d, commits %d, %d behavior buckets:\n",
 			g.BenchName(), g.Canonical(), sim.Cycles, sim.Commits, len(sig))
 		for _, b := range sig {
-			fmt.Println("  " + b)
+			fmt.Fprintln(stdout, "  "+b)
 		}
 		return 0
 	}
@@ -90,34 +91,34 @@ func runWgen(r *harness.Runner, opts wgenOptions) int {
 			failing, failErr = &g, err
 			break
 		}
-		fmt.Printf("wgen[%04d] %s cov %d (+%d)\n", i, res.Genome.Hash(), res.Coverage, res.New)
+		fmt.Fprintf(stdout, "wgen[%04d] %s cov %d (+%d)\n", i, res.Genome.Hash(), res.Coverage, res.New)
 	}
 
 	if opts.corpus != "" {
 		if err := os.MkdirAll(opts.corpus, 0o755); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		for _, g := range s.Corpus() {
 			path := filepath.Join(opts.corpus, g.Hash()+".wgen")
 			if err := os.WriteFile(path, []byte(g.Canonical()+"\n"), 0o644); err != nil {
-				return fail(err)
+				return fail(stderr, err)
 			}
 		}
 		if failing != nil {
 			path := filepath.Join(opts.corpus, "failing-"+failing.Hash()+".wgen")
 			if err := os.WriteFile(path, []byte(failing.Canonical()+"\n"), 0o644); err != nil {
-				return fail(err)
+				return fail(stderr, err)
 			}
 		}
 	}
 
 	st := s.Stats()
-	fmt.Printf("wgen: %d programs, %d behavior buckets, corpus %d (explore %d steps +%d, exploit %d steps +%d)\n",
+	fmt.Fprintf(stdout, "wgen: %d programs, %d behavior buckets, corpus %d (explore %d steps +%d, exploit %d steps +%d)\n",
 		s.Steps(), s.Coverage().Count(), len(s.Corpus()),
 		st.ExploreSteps, st.ExploreGained, st.ExploitSteps, st.ExploitGained)
 	if failing != nil {
-		fmt.Fprintf(os.Stderr, "wgen: FAILING GENOME %s: %v\n", failing.Canonical(), failErr)
-		fmt.Fprintf(os.Stderr, "wgen: replay with: stasim -wgen-genome '%s' -config wth-wp-wec\n", failing.Canonical())
+		fmt.Fprintf(stderr, "wgen: FAILING GENOME %s: %v\n", failing.Canonical(), failErr)
+		fmt.Fprintf(stderr, "wgen: replay with: stasim -wgen-genome '%s' -config wth-wp-wec\n", failing.Canonical())
 		return 1
 	}
 	return 0

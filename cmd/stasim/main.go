@@ -9,17 +9,18 @@
 //	stasim -bench gzip -disasm | head
 //	stasim -list
 //
-// Observability (see README "Observability" and "Live telemetry"):
+// Observability (see README "Observability", "Fill attribution" and
+// "Live telemetry"): -out writes every artifact of the run into one
+// directory — metrics.json, series.csv, timeline.json, attrib.json,
+// events.log, spans.jsonl and spans.trace.json, a flight-*.json dump on
+// failure, cpu.pprof and heap.pprof (profiles of the instrumented run;
+// with -telemetry-addr, /debug/pprof/profile owns CPU profiling and no
+// cpu.pprof is written) — and prints the fill-attribution summary after
+// the statistics:
 //
-//	stasim -bench mcf -config wth-wp-wec -metrics m.json -timeline t.trace.json -interval 1000
-//	stasim -bench mcf -metrics-csv series.csv -interval 500
+//	stasim -bench mcf -config wth-wp-wec -out run/
 //	stasim -bench mcf -scale 4 -progress
-//	stasim -bench mcf -telemetry-addr 127.0.0.1:9180 -telemetry-dir tel/
-//
-// Fill attribution (see README "Attribution"):
-//
-//	stasim -bench mcf -config wth-wp-wec -attrib
-//	stasim -bench mcf -config vc -attrib -attrib-top 10 -attrib-json report.json
+//	stasim -bench mcf -telemetry-addr 127.0.0.1:9180 -out run/
 //
 // Cross-run analytics (see README "Cross-run analytics"):
 //
@@ -29,19 +30,20 @@
 // Workload synthesis (see README "Workload synthesis"):
 //
 //	stasim -wgen-seed 7 -config wth-wp-wec
-//	stasim -wgen-genome corpus/g0123456789abcdef.wgen -config wth-wp-wec -attrib
+//	stasim -wgen-genome corpus/g0123456789abcdef.wgen -config wth-wp-wec -out run/
 //	stasim -wgen-genome 'wgen1 seed=0x0000000000000007 win=2x8 ...'
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -62,107 +64,110 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one stasim invocation and returns its exit status: 0 on
+// success, 1 when the run fails, 2 on a command-line error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("stasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench   = flag.String("bench", "mcf", "benchmark (vpr, gzip, mcf, parser, equake, mesa)")
-		cfgName = flag.String("config", "orig", "processor configuration (orig, vc, wp, wth, wth-wp, wth-wp-vc, wth-wp-wec, nlp)")
-		tus     = flag.Int("tus", 8, "thread units")
-		scale   = flag.Int("scale", 1, "workload scale factor")
-		entries = flag.Int("side", 8, "side buffer entries (WEC/VC/PB)")
-		l1kb    = flag.Int("l1", 8, "L1 data cache size in KB")
-		l1way   = flag.Int("assoc", 1, "L1 data cache associativity")
-		l2kb    = flag.Int("l2", 64, "shared L2 size in KB")
-		file    = flag.String("file", "", "assemble and run a .sta source file instead of a benchmark")
+		bench   = fs.String("bench", "mcf", "benchmark (vpr, gzip, mcf, parser, equake, mesa)")
+		cfgName = fs.String("config", "orig", "processor configuration (orig, vc, wp, wth, wth-wp, wth-wp-vc, wth-wp-wec, nlp)")
+		tus     = fs.Int("tus", 8, "thread units")
+		scale   = fs.Int("scale", 1, "workload scale factor")
+		entries = fs.Int("side", 8, "side buffer entries (WEC/VC/PB)")
+		l1kb    = fs.Int("l1", 8, "L1 data cache size in KB")
+		l1way   = fs.Int("assoc", 1, "L1 data cache associativity")
+		l2kb    = fs.Int("l2", 64, "shared L2 size in KB")
+		file    = fs.String("file", "", "assemble and run a .sta source file instead of a benchmark")
 
-		wgenGenome = flag.String("wgen-genome", "", "run a synthesized workload: a canonical genome line ('wgen1 seed=... ...') or a .wgen file")
-		wgenSeed   = flag.Uint64("wgen-seed", 0, "synthesize and run the deterministic random genome for this seed (overridden by -wgen-genome)")
+		wgenGenome = fs.String("wgen-genome", "", "run a synthesized workload: a canonical genome line ('wgen1 seed=... ...') or a .wgen file")
+		wgenSeed   = fs.Uint64("wgen-seed", 0, "synthesize and run the deterministic random genome for this seed (overridden by -wgen-genome)")
 
-		disasm  = flag.Bool("disasm", false, "print the program listing instead of simulating")
-		doTrace = flag.Bool("trace", false, "stream thread-lifecycle events to stderr")
-		list    = flag.Bool("list", false, "list benchmarks and configurations")
+		disasm = fs.Bool("disasm", false, "print the program listing instead of simulating")
+		list   = fs.Bool("list", false, "list benchmarks and configurations")
 
-		doAttrib     = flag.Bool("attrib", false, "attach the fill-attribution collector and print its summary")
-		attribJSON   = flag.String("attrib-json", "", "write the attribution report as JSON to this file (implies -attrib)")
-		attribTop    = flag.Int("attrib-top", attrib.DefaultTopN, "per-PC rows in the attribution report")
-		attribWindow = flag.Uint64("attrib-window", 0, "pollution re-miss window in cycles (0 = default)")
+		sampleWarmup  = fs.Uint64("sample-warmup", 0, "sampled simulation: detailed-but-unmeasured warmup instructions per period")
+		sampleMeasure = fs.Uint64("sample-measure", 0, "sampled simulation: measured detailed instructions per period (0 = fully detailed run)")
+		samplePeriod  = fs.Uint64("sample-period", 0, "sampled simulation: period length in instructions (must exceed warmup+measure; the rest fast-forwards)")
+		sampleSeed    = fs.Uint64("sample-seed", 0, "sampled simulation: bootstrap RNG seed for the confidence intervals (0 = default)")
 
-		sampleWarmup  = flag.Uint64("sample-warmup", 0, "sampled simulation: detailed-but-unmeasured warmup instructions per period")
-		sampleMeasure = flag.Uint64("sample-measure", 0, "sampled simulation: measured detailed instructions per period (0 = fully detailed run)")
-		samplePeriod  = flag.Uint64("sample-period", 0, "sampled simulation: period length in instructions (must exceed warmup+measure; the rest fast-forwards)")
-		sampleSeed    = flag.Uint64("sample-seed", 0, "sampled simulation: bootstrap RNG seed for the confidence intervals (0 = default)")
+		timeout  = fs.Duration("timeout", 0, "wall-clock limit for the run (0 = none)")
+		watchdog = fs.Uint64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default)")
 
-		dumpOnHang = flag.Bool("dump-on-hang", false, "on a deadlock or runaway failure, print the per-TU machine state dump to stderr")
-		timeout    = flag.Duration("timeout", 0, "wall-clock limit for the run (0 = none)")
-		watchdog   = flag.Uint64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default)")
-
-		progress      = flag.Bool("progress", false, "print a one-line heartbeat to stderr every second (cycle, cycles/s, IPC, est. remaining)")
-		telemetryAddr = flag.String("telemetry-addr", "", "serve live introspection HTTP (/metrics, /runs, /healthz, /debug/pprof) on this address")
-		telemetryDir  = flag.String("telemetry-dir", "", "write the span journal (spans.jsonl) and flight-recorder dumps into this directory")
-
-		archiveDir = flag.String("archive", "", "archive this run's manifest into a content-addressed run archive (query with simql)")
-
-		metricsOut  = flag.String("metrics", "", "write metrics JSON (counters, interval series, histograms) to this file")
-		metricsCSV  = flag.String("metrics-csv", "", "write the interval time series as CSV to this file")
-		timelineOut = flag.String("timeline", "", "write a Perfetto/chrome://tracing trace JSON to this file")
-		interval    = flag.Uint64("interval", 10000, "sampling interval in cycles for the metrics time series")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		progress      = fs.Bool("progress", false, "print a one-line heartbeat to stderr every second (cycle, cycles/s, IPC, est. remaining)")
+		telemetryAddr = fs.String("telemetry-addr", "", "serve live introspection HTTP (/metrics, /runs, /healthz, /debug/pprof) on this address")
+		archiveDir    = fs.String("archive", "", "archive this run's manifest into a content-addressed run archive (query with simql)")
+		out           = fs.String("out", "", "write every run artifact (metrics, series, timeline, attribution, event log, spans, profiles) into this directory")
 	)
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		fatal(err)
-		fatal(pprof.StartCPUProfile(f))
-		defer pprof.StopCPUProfile()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	if *list {
-		fmt.Println("benchmarks:")
+		fmt.Fprintln(stdout, "benchmarks:")
 		for _, w := range workload.All() {
-			fmt.Printf("  %-8s (%s, %s)\n", w.Short, w.Name, w.Suite)
+			fmt.Fprintf(stdout, "  %-8s (%s, %s)\n", w.Short, w.Name, w.Suite)
 		}
-		fmt.Println("configurations:")
+		fmt.Fprintln(stdout, "configurations:")
 		for _, n := range config.Names() {
-			fmt.Printf("  %s\n", n)
+			fmt.Fprintf(stdout, "  %s\n", n)
 		}
-		return
+		return 0
 	}
 
 	wgenSeedSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "wgen-seed" {
 			wgenSeedSet = true
 		}
 	})
 
 	var prog *isa.Program
-	title := *bench
+	var title string
+	var err error
 	if *wgenGenome != "" || wgenSeedSet {
 		var g wgen.Genome
-		var err error
 		if *wgenGenome != "" {
-			g, err = wgen.Load(*wgenGenome)
-			fatal(err)
+			if g, err = wgen.Load(*wgenGenome); err != nil {
+				return fail(err)
+			}
 		} else {
 			g = wgen.Random(*wgenSeed)
 		}
-		prog, err = g.Program()
-		fatal(err)
+		if prog, err = g.Program(); err != nil {
+			return fail(err)
+		}
 		// The bench name embeds the genome hash, so -archive manifests of
 		// generated runs are greppable by genome (simql grep <hash>).
 		*bench = g.BenchName()
 		title = fmt.Sprintf("%s [%s]", g.BenchName(), g.Canonical())
 	} else if *file != "" {
 		src, err := os.ReadFile(*file)
-		fatal(err)
-		prog, err = asm.Parse(string(src))
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
+		if prog, err = asm.Parse(string(src)); err != nil {
+			return fail(err)
+		}
 		title = *file
 	} else {
 		w, err := workload.ByName(*bench)
-		fatal(err)
-		prog, err = w.Build(*scale)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
+		if prog, err = w.Build(*scale); err != nil {
+			return fail(err)
+		}
 		title = fmt.Sprintf("%s (%s)", w.Short, w.Name)
 	}
 
@@ -170,12 +175,15 @@ func main() {
 		for pc, in := range prog.Insts {
 			for name, at := range prog.Symbols {
 				if at == int64(pc) && isLabel(prog, name) {
-					fmt.Printf("%s:\n", name)
+					fmt.Fprintf(stdout, "%s:\n", name)
 				}
 			}
-			fmt.Printf("%5d  %s\n", pc, in)
+			fmt.Fprintf(stdout, "%5d  %s\n", pc, in)
 		}
-		return
+		return 0
+	}
+	if *archiveDir != "" && *file != "" {
+		return fail(fmt.Errorf("-archive needs a named benchmark; -file programs have no stable cell identity"))
 	}
 
 	cfg := config.Main(*tus)
@@ -184,53 +192,68 @@ func main() {
 	cfg.Mem.L1DSize = *l1kb * 1024
 	cfg.Mem.L1DAssoc = *l1way
 	cfg.Mem.L2Size = *l2kb * 1024
-	fatal(config.Apply(config.Name(*cfgName), &cfg))
-
+	if err := config.Apply(config.Name(*cfgName), &cfg); err != nil {
+		return fail(err)
+	}
 	m, err := sta.New(cfg, prog)
-	fatal(err)
-	sc := sample.Config{
+	if err != nil {
+		return fail(err)
+	}
+	m.Sample = sample.Config{
 		WarmupInsts:  *sampleWarmup,
 		MeasureInsts: *sampleMeasure,
 		PeriodInsts:  *samplePeriod,
 		Seed:         *sampleSeed,
 	}
-	fatal(sc.Validate())
-	m.Sample = sc
-	if *doTrace {
-		m.Trace = trace.Writer{W: os.Stderr}
+	if err := m.Sample.Validate(); err != nil {
+		return fail(err)
 	}
-	var col *metrics.Collector
-	if *metricsOut != "" || *metricsCSV != "" || *timelineOut != "" {
-		sampleEvery := *interval
-		if *metricsOut == "" && *metricsCSV == "" {
-			sampleEvery = 0 // timeline only: no series needed
-		}
-		col = metrics.NewCollector(sampleEvery)
-		if *timelineOut != "" {
-			col.Timeline = metrics.NewTimeline()
-		}
-		m.Metrics = col
-	}
-	var ac *attrib.Collector
-	if *doAttrib || *attribJSON != "" {
-		ac = attrib.NewCollector()
-		ac.TopN = *attribTop
-		ac.Window = *attribWindow
-		m.Attrib = ac
-	}
+
+	// The telemetry run creates -out; -out attaches every collector, and
+	// its files are written after the run.
 	var tr *telemetry.Run
 	var cell *telemetry.Cell
-	if *telemetryAddr != "" || *telemetryDir != "" {
-		var terr error
-		tr, terr = telemetry.Start(telemetry.Config{Addr: *telemetryAddr, Dir: *telemetryDir})
-		fatal(terr)
+	if *telemetryAddr != "" || *out != "" {
+		tr, err = telemetry.Start(telemetry.Config{
+			Addr: *telemetryAddr,
+			Dir:  *out,
+			Log:  slog.New(slog.NewTextHandler(stderr, nil)),
+		})
+		if err != nil {
+			return fail(err)
+		}
+		defer func() {
+			if err := tr.Close(); err != nil && code == 0 {
+				code = fail(err)
+			}
+		}()
 		cell = tr.StartCell(*bench, *cfgName, 0)
 		m.Tap = cell.Tap
 	}
-	if *progress && m.Tap == nil {
-		m.Tap = &sta.ProgressTap{}
+	var col *metrics.Collector
+	var ev *os.File
+	var events *bufio.Writer
+	if *out != "" {
+		if err := tr.StartProfile(); err != nil {
+			return fail(err)
+		}
+		ev, err = os.Create(filepath.Join(*out, "events.log"))
+		if err != nil {
+			return fail(err)
+		}
+		defer ev.Close()
+		events = bufio.NewWriter(ev)
+		defer events.Flush() // a failed run still leaves its events
+		m.Trace = trace.Writer{W: events}
+		col = metrics.NewCollector(metrics.Interval)
+		col.Timeline = metrics.NewTimeline()
+		m.Metrics = col
+		m.Attrib = attrib.NewCollector() // a sampled run drops it
 	}
 	if *progress {
+		if m.Tap == nil {
+			m.Tap = &sta.ProgressTap{}
+		}
 		// The functional reference gives the dynamic instruction count, so
 		// the heartbeat can estimate remaining wall time from commit rate.
 		var refInsts int64
@@ -239,10 +262,7 @@ func main() {
 		}
 		stop := make(chan struct{})
 		defer close(stop)
-		go heartbeat(m.Tap, refInsts, stop)
-	}
-	if *archiveDir != "" && *file != "" {
-		fatal(fmt.Errorf("-archive needs a named benchmark; -file programs have no stable cell identity"))
+		go heartbeat(stderr, m.Tap, refInsts, stop)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -256,129 +276,127 @@ func main() {
 	if err != nil {
 		if cell != nil {
 			cell.Fail(err)
-			tr.Close()
 		}
 		var se *simerr.Error
-		if *dumpOnHang && errors.As(err, &se) &&
-			(se.Kind == simerr.Deadlock || se.Kind == simerr.Runaway) {
-			fmt.Fprintln(os.Stderr, se.DumpState())
+		if errors.As(err, &se) && (se.Kind == simerr.Deadlock || se.Kind == simerr.Runaway) {
+			fmt.Fprintln(stderr, se.DumpState())
 		}
-		fatal(err)
+		return fail(err)
 	}
 	if cell != nil {
 		cell.Done(res.Stats.Cycles)
-		defer tr.Close()
-	}
-
-	if *metricsOut != "" {
-		fatal(writeFile(*metricsOut, func(f *os.File) error {
-			return col.WriteJSON(f, res.Stats.Cycles)
-		}))
-	}
-	if *metricsCSV != "" {
-		fatal(os.WriteFile(*metricsCSV, []byte(col.SeriesCSV()), 0o644))
-	}
-	if *timelineOut != "" {
-		fatal(writeFile(*timelineOut, func(f *os.File) error {
-			return col.Timeline.WriteJSON(f)
-		}))
-		if d := col.Timeline.Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr, "timeline: %d events dropped past the %d-event cap\n",
-				d, metrics.DefaultMaxEvents)
-		}
-	}
-	if *memprofile != "" {
-		fatal(writeFile(*memprofile, func(f *os.File) error {
-			runtime.GC()
-			return pprof.WriteHeapProfile(f)
-		}))
 	}
 
 	s := &res.Stats
-	fmt.Printf("benchmark        %s\n", title)
-	fmt.Printf("configuration    %s, %d TUs, L1 %dKB %d-way, L2 %dKB, side %d entries\n",
+	var rep *attrib.Report
+	if m.Attrib != nil {
+		rep = m.Attrib.Report(s.Cycles)
+	} else if *out != "" {
+		fmt.Fprintln(stderr, "attribution: none for a sampled run (fast-forwarding skips fills)")
+	}
+	artifacts := runstore.Artifacts(*out, "", rep != nil, true)
+	if *out != "" {
+		files := map[string]func(io.Writer) error{
+			artifacts["metrics"]: func(w io.Writer) error { return col.WriteJSON(w, s.Cycles) },
+			filepath.Join(*out, "series.csv"): func(w io.Writer) error {
+				_, err := io.WriteString(w, col.SeriesCSV())
+				return err
+			},
+			filepath.Join(*out, "timeline.json"): col.Timeline.WriteJSON,
+		}
+		if rep != nil {
+			files[artifacts["attrib"]] = rep.WriteJSON
+		}
+		for path, write := range files {
+			if err := runstore.WriteArtifact(path, write); err != nil {
+				return fail(err)
+			}
+		}
+		if err := events.Flush(); err != nil {
+			return fail(err)
+		}
+		if err := ev.Close(); err != nil {
+			return fail(err)
+		}
+		if d := col.Timeline.Dropped; d > 0 {
+			fmt.Fprintf(stderr, "timeline: %d events dropped past the %d-event cap\n",
+				d, metrics.DefaultMaxEvents)
+		}
+	}
+
+	fmt.Fprintf(stdout, "benchmark        %s\n", title)
+	fmt.Fprintf(stdout, "configuration    %s, %d TUs, L1 %dKB %d-way, L2 %dKB, side %d entries\n",
 		*cfgName, *tus, *l1kb, *l1way, *l2kb, *entries)
-	fmt.Printf("cycles           %d\n", s.Cycles)
-	fmt.Printf("commits          %d (IPC %.2f)\n", s.Commits, s.IPC())
-	fmt.Printf("parallel cycles  %d (%.1f%% of time)\n", s.ParCycles,
+	fmt.Fprintf(stdout, "cycles           %d\n", s.Cycles)
+	fmt.Fprintf(stdout, "commits          %d (IPC %.2f)\n", s.Commits, s.IPC())
+	fmt.Fprintf(stdout, "parallel cycles  %d (%.1f%% of time)\n", s.ParCycles,
 		100*float64(s.ParCycles)/float64(s.Cycles))
-	fmt.Printf("forks/aborts     %d / %d (wrong threads: %d)\n", s.Forks, s.Aborts, s.WrongThreads)
-	fmt.Printf("branches         %d (%.1f%% predicted)\n", s.Branches, 100*s.BranchAccuracy())
-	fmt.Printf("L1D accesses     %d (miss rate %.3f, %d misses)\n",
+	fmt.Fprintf(stdout, "forks/aborts     %d / %d (wrong threads: %d)\n", s.Forks, s.Aborts, s.WrongThreads)
+	fmt.Fprintf(stdout, "branches         %d (%.1f%% predicted)\n", s.Branches, 100*s.BranchAccuracy())
+	fmt.Fprintf(stdout, "L1D accesses     %d (miss rate %.3f, %d misses)\n",
 		s.L1DAccesses, s.L1DMissRate(), s.L1DMisses)
-	fmt.Printf("L1D traffic      %d (incl. wrong execution)\n", s.L1DTraffic)
-	fmt.Printf("wrong loads      %d (wrong-path %d, wrong-thread %d)\n",
+	fmt.Fprintf(stdout, "L1D traffic      %d (incl. wrong execution)\n", s.L1DTraffic)
+	fmt.Fprintf(stdout, "wrong loads      %d (wrong-path %d, wrong-thread %d)\n",
 		s.WrongLoads, s.WrongPathLoads, s.WrongThLoads)
-	fmt.Printf("side buffer      %d hits (%d on wrong-fetched blocks), %d inserts\n",
+	fmt.Fprintf(stdout, "side buffer      %d hits (%d on wrong-fetched blocks), %d inserts\n",
 		s.WECHits, s.WrongUseful, s.WECInserts)
-	fmt.Printf("prefetches       %d issued, %d useful\n", s.PrefIssued, s.PrefUseful)
-	fmt.Printf("L2               %d accesses, %d misses; DRAM fills %d\n",
+	fmt.Fprintf(stdout, "prefetches       %d issued, %d useful\n", s.PrefIssued, s.PrefUseful)
+	fmt.Fprintf(stdout, "L2               %d accesses, %d misses; DRAM fills %d\n",
 		s.L2Accesses, s.L2Misses, s.MemAccesses)
-	fmt.Printf("update traffic   %d bus transactions\n", s.UpdateTraffic)
-	fmt.Printf("memory checksum  %#x\n", res.MemCheck)
+	fmt.Fprintf(stdout, "update traffic   %d bus transactions\n", s.UpdateTraffic)
+	fmt.Fprintf(stdout, "memory checksum  %#x\n", res.MemCheck)
 	if sp := s.Sampled; sp != nil {
 		total := sp.DetailedInsts + sp.FFInsts
 		cov := 0.0
 		if total > 0 {
 			cov = 100 * float64(sp.DetailedInsts) / float64(total)
 		}
-		fmt.Printf("sampling         %d windows (warmup %d / measure %d / period %d insts)\n",
+		fmt.Fprintf(stdout, "sampling         %d windows (warmup %d / measure %d / period %d insts)\n",
 			sp.Windows, sp.WarmupInsts, sp.MeasureInsts, sp.PeriodInsts)
-		fmt.Printf("  detailed       %d insts in %d cycles (%.1f%% coverage); fast-forwarded %d insts\n",
+		fmt.Fprintf(stdout, "  detailed       %d insts in %d cycles (%.1f%% coverage); fast-forwarded %d insts\n",
 			sp.DetailedInsts, sp.DetailedCycles, cov, sp.FFInsts)
-		fmt.Printf("  est. cycles    %.0f  [%.0f, %.0f] 95%% CI\n", sp.EstCycles, sp.EstCyclesLo, sp.EstCyclesHi)
-		fmt.Printf("  est. IPC       %.3f  [%.3f, %.3f]\n", sp.IPC, sp.IPCLo, sp.IPCHi)
-		fmt.Printf("  est. L1D miss  %.4f  [%.4f, %.4f]\n", sp.L1DMiss, sp.L1DMissLo, sp.L1DMissHi)
+		fmt.Fprintf(stdout, "  est. cycles    %.0f  [%.0f, %.0f] 95%% CI\n", sp.EstCycles, sp.EstCyclesLo, sp.EstCyclesHi)
+		fmt.Fprintf(stdout, "  est. IPC       %.3f  [%.3f, %.3f]\n", sp.IPC, sp.IPCLo, sp.IPCHi)
+		fmt.Fprintf(stdout, "  est. L1D miss  %.4f  [%.4f, %.4f]\n", sp.L1DMiss, sp.L1DMissLo, sp.L1DMissHi)
 	}
-
-	var rep *attrib.Report
-	if ac != nil {
-		rep = ac.Report(s.Cycles)
-		if *attribJSON != "" {
-			fatal(writeFile(*attribJSON, func(f *os.File) error { return rep.WriteJSON(f) }))
+	if rep != nil {
+		fmt.Fprintln(stdout)
+		if err := rep.WriteText(stdout, symbolLabeler(prog)); err != nil {
+			return fail(err)
 		}
-		fmt.Println()
-		fatal(rep.WriteText(os.Stdout, symbolLabeler(prog)))
 	}
 
 	if *archiveDir != "" {
 		st, err := runstore.Open(*archiveDir)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
 		man := runstore.New(*bench, *scale, cfg, res)
 		man.Tool = "stasim"
 		man.GitRev = runstore.GitRev()
 		man.WallSeconds = simWall.Seconds()
 		man.Attrib = runstore.SummarizeAttrib(rep)
+		man.Artifacts = artifacts
 		if tr != nil {
 			man.RunID = tr.ID
-			if tr.Dir() != "" {
-				man.Artifacts = map[string]string{"spans": filepath.Join(tr.Dir(), "spans.jsonl")}
-			}
 		}
-		if *metricsOut != "" {
-			if man.Artifacts == nil {
-				man.Artifacts = map[string]string{}
-			}
-			man.Artifacts["metrics"] = *metricsOut
+		err = st.Put(man)
+		if cerr := st.Close(); err == nil {
+			err = cerr
 		}
-		if *attribJSON != "" {
-			if man.Artifacts == nil {
-				man.Artifacts = map[string]string{}
-			}
-			man.Artifacts["attrib"] = *attribJSON
+		if err != nil {
+			return fail(err)
 		}
-		fatal(st.Put(man))
-		path := st.ManifestPath(man)
-		fatal(st.Close())
-		fmt.Printf("archived         %s\n", path)
+		fmt.Fprintf(stdout, "archived         %s\n", st.ManifestPath(man))
 	}
+	return 0
 }
 
 // heartbeat prints one progress line per second from the machine's tap:
 // current cycle, simulation speed, aggregate IPC, and — when the functional
 // reference ran — the estimated wall time remaining at the current commit
 // rate.
-func heartbeat(tap *sta.ProgressTap, refInsts int64, stop <-chan struct{}) {
+func heartbeat(w io.Writer, tap *sta.ProgressTap, refInsts int64, stop <-chan struct{}) {
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	var lastCycle, lastCommits uint64
@@ -404,7 +422,7 @@ func heartbeat(tap *sta.ProgressTap, refInsts int64, stop <-chan struct{}) {
 				eta := time.Duration(float64(rem) / ips * float64(time.Second))
 				line += fmt.Sprintf(", est. %s remaining", eta.Round(time.Second))
 			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(w, line)
 			lastCycle, lastCommits, lastWall = cycle, commits, now
 		}
 	}
@@ -447,24 +465,4 @@ func symbolLabeler(p *isa.Program) func(pc int) string {
 func isLabel(p *isa.Program, name string) bool {
 	v := p.Symbols[name]
 	return v >= 0 && v < int64(len(p.Insts)) && v < asm.DataBase
-}
-
-// writeFile creates path and streams write's output into it.
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -120,7 +120,7 @@ type PCProfile struct {
 	Polluting   uint64 `json:"polluting"` // re-misses caused by this PC's fills
 }
 
-// Defaults for the tunable collector knobs.
+// Collector settings.
 const (
 	// DefaultWindow is the pollution re-miss window in cycles: a displaced
 	// correct-path block re-missed within this many cycles of its eviction
@@ -139,10 +139,8 @@ const (
 // All hook methods tolerate a nil receiver. The collector is not safe for
 // concurrent use — one collector per machine, like metrics.Collector.
 type Collector struct {
-	// Window is the pollution re-miss window in cycles (0 = DefaultWindow).
-	Window uint64
-	// TopN bounds the per-PC rows in Report (0 = DefaultTopN).
-	TopN int
+	window uint64 // pollution re-miss window in cycles
+	topN   int    // per-PC rows in Report
 	// Timeline, when non-nil, receives pollution and useful-promotion
 	// instant events on the owning thread unit's memory track.
 	Timeline *metrics.Timeline
@@ -166,16 +164,10 @@ type Collector struct {
 	finished      bool
 }
 
-// NewCollector returns a collector with default knobs.
+// NewCollector returns a collector with the DefaultWindow pollution
+// window and DefaultTopN per-PC rows.
 func NewCollector() *Collector {
-	return &Collector{pcs: make(map[int]*PCProfile)}
-}
-
-func (a *Collector) window() uint64 {
-	if a.Window > 0 {
-		return a.Window
-	}
-	return DefaultWindow
+	return &Collector{window: DefaultWindow, topN: DefaultTopN, pcs: make(map[int]*PCProfile)}
 }
 
 func (a *Collector) unit(tu int) *unit {
@@ -219,7 +211,7 @@ func (a *Collector) OnDemandAccess(tu, pc int, block, cycle uint64, missBoth boo
 		return
 	}
 	delete(u.shadow, block)
-	if cycle-se.evictedAt > a.window() {
+	if cycle-se.evictedAt > a.window {
 		return
 	}
 	a.polluting[se.by]++
@@ -374,7 +366,7 @@ func (a *Collector) OnEvict(tu int, block uint64, cause Origin, causePC int, cyc
 	a.pollutionEvicts[cause]++
 	if len(u.shadow) >= maxShadow {
 		for b, se := range u.shadow {
-			if cycle-se.evictedAt > a.window() {
+			if cycle-se.evictedAt > a.window {
 				delete(u.shadow, b)
 			}
 		}

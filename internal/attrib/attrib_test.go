@@ -70,7 +70,7 @@ func TestLate(t *testing.T) {
 func TestPollutionWindow(t *testing.T) {
 	mk := func() *Collector {
 		a := NewCollector()
-		a.Window = 100
+		a.window = 100
 		a.OnFill(0, 0x1000, OriginDemand, 3, 10, StructL1) // correct-path block
 		a.OnFill(0, 0x2000, OriginWrongPath, 7, 50, StructL1)
 		a.OnEvict(0, 0x1000, OriginWrongPath, 7, 50) // displaced by speculation
@@ -148,7 +148,7 @@ func TestVictimHit(t *testing.T) {
 
 func TestPerPCProfile(t *testing.T) {
 	a := NewCollector()
-	a.TopN = 2
+	a.topN = 2
 	for pc := 0; pc < 5; pc++ {
 		for i := 0; i <= pc; i++ {
 			a.OnDemandAccess(0, pc, uint64(0x1000*pc), 10, false)
@@ -186,7 +186,7 @@ func TestNilCollectorHooksAreNoOps(t *testing.T) {
 
 func TestShadowTableBound(t *testing.T) {
 	a := NewCollector()
-	a.Window = 1 << 60 // nothing expires: force the capacity path
+	a.window = 1 << 60 // nothing expires: force the capacity path
 	for i := 0; i < maxShadow+10; i++ {
 		b := uint64(i) * 64
 		a.OnFill(0, b, OriginDemand, 3, 10, StructL1)

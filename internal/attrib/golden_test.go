@@ -39,8 +39,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // victim capture, and a victim hit.
 func goldenCollector() *Collector {
 	a := NewCollector()
-	a.Window = 500
-	a.TopN = 3
+	a.window = 500
+	a.topN = 3
 
 	// Correct-path warmup: two demand fills.
 	a.OnDemandAccess(0, 10, 0x1000, 5, true)

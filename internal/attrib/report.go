@@ -67,7 +67,7 @@ func (a *Collector) Report(cycles uint64) *Report {
 	a.Finish()
 	r := &Report{
 		Cycles:             cycles,
-		Window:             a.window(),
+		Window:             a.window,
 		DemandFills:        a.demandFills,
 		VictimInserts:      a.victimInserts,
 		SpecFills:          fromArray(&a.specFills),
@@ -81,10 +81,7 @@ func (a *Collector) Report(cycles uint64) *Report {
 		Refills:            a.refills,
 		ShadowDropped:      a.shadowDropped,
 	}
-	top := a.TopN
-	if top <= 0 {
-		top = DefaultTopN
-	}
+	top := a.topN
 	profiles := make([]PCProfile, 0, len(a.pcs))
 	for _, p := range a.pcs {
 		profiles = append(profiles, *p)

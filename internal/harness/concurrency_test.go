@@ -11,8 +11,8 @@ import (
 )
 
 // TestConcurrentRunnerWithMetrics drives the worker pool with several
-// workers, a shared Verbose writer, and per-run metrics collectors all at
-// once. Run under -race (the CI does) it is the proof that the sampler and
+// workers, a shared Verbose writer, and per-run metrics and attribution
+// collectors writing into one output directory, all at once. Run under -race (the CI does) it is the proof that the sampler and
 // progress plumbing stay race-free across workers.
 func TestConcurrentRunnerWithMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -21,8 +21,7 @@ func TestConcurrentRunnerWithMetrics(t *testing.T) {
 	r := NewRunner(1)
 	r.Workers = 4
 	r.Verbose = &buf
-	r.MetricsInterval = 500
-	r.MetricsDir = dir
+	r.Out = dir
 
 	var jobs []job
 	for _, bench := range []string{"gzip", "vpr", "mcf"} {
@@ -45,7 +44,8 @@ func TestConcurrentRunnerWithMetrics(t *testing.T) {
 	}
 
 	// Every run exported a metrics file, and each parses past the header.
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	// Attribution reports share the directory, so match by suffix.
+	files, err := filepath.Glob(filepath.Join(dir, "*.metrics.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -39,24 +37,20 @@ type Runner struct {
 	// simulation. Writes are serialized; any io.Writer is safe.
 	Verbose io.Writer
 
-	// MetricsInterval, when positive, attaches a metrics collector with
-	// an interval sampler of that many cycles to every simulation. Each
-	// run gets its own collector, so worker concurrency stays race-free.
-	MetricsInterval uint64
-	// MetricsDir, when set with MetricsInterval, receives one metrics
-	// JSON file per (benchmark, configuration) run.
-	MetricsDir string
+	// Out, when set, is an existing directory that receives every fresh
+	// cell's artifacts. Each simulation gets its own metrics collector
+	// (interval series every metrics.Interval cycles) and fill-attribution
+	// collector, so worker concurrency stays race-free, and exports them
+	// as <bench>-<key>.metrics.json and <bench>-<key>.attrib.json (see
+	// runstore.Artifacts). Sampled cells carry no attribution (see
+	// sta.Machine.Attrib).
+	Out string
 
-	// Attrib attaches a fill-attribution collector to every simulation;
-	// reports are memoized beside the results (see AttribReport). A
-	// result cached without attribution is re-simulated when its report
-	// is first needed.
+	// Attrib attaches a fill-attribution collector to every simulation
+	// without writing files; reports are memoized beside the results (see
+	// AttribReport). A result cached without attribution is re-simulated
+	// when its report is first needed.
 	Attrib bool
-	// AttribDir, when set with Attrib, receives one attribution JSON
-	// report per (benchmark, configuration) run.
-	AttribDir string
-	// AttribTopN bounds the per-PC table in each report (0 = default).
-	AttribTopN int
 
 	// Ctx, when non-nil, cancels in-flight and pending simulations (wire
 	// it to signal.NotifyContext for graceful SIGINT handling).
@@ -276,16 +270,12 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	}
 	m.Sample = r.Sample
 	var col *metrics.Collector
-	if r.MetricsInterval > 0 {
-		// Per-run collector: nothing is shared between workers.
-		col = metrics.NewCollector(r.MetricsInterval)
+	if r.Out != "" {
+		col = metrics.NewCollector(metrics.Interval)
 		m.Metrics = col
 	}
-	var ac *attrib.Collector
-	if r.Attrib {
-		ac = attrib.NewCollector()
-		ac.TopN = r.AttribTopN
-		m.Attrib = ac
+	if r.Attrib || r.Out != "" {
+		m.Attrib = attrib.NewCollector() // a sampled run drops it
 	}
 	if cell != nil {
 		m.Tap = cell.Tap
@@ -295,8 +285,8 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		return nil, r.quarantine(k, bench, err)
 	}
 	var rep *attrib.Report
-	if ac != nil {
-		rep = ac.Report(res.Stats.Cycles)
+	if m.Attrib != nil {
+		rep = m.Attrib.Report(res.Stats.Cycles)
 	}
 	simWall := time.Since(simStart)
 	if res.MemCheck != ref.MemCheck {
@@ -307,25 +297,23 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	if err := res.Stats.CheckInvariants(); err != nil {
 		return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 	}
-	if col != nil && r.MetricsDir != "" {
-		err := r.retryIO("harness.metrics", k, cell, func() error {
-			return classifyIO("harness.metrics", r.writeMetrics(bench, k, col, res.Stats.Cycles))
-		})
-		if err != nil {
-			return nil, r.quarantine(k, bench, err)
-		}
-	}
 	if rep != nil {
 		if err := rep.CheckInternal(); err != nil {
 			return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 		}
-		if r.AttribDir != "" {
-			err := r.retryIO("harness.attrib", k, cell, func() error {
-				return classifyIO("harness.attrib", r.writeAttrib(bench, k, rep))
-			})
-			if err != nil {
-				return nil, r.quarantine(k, bench, err)
+	}
+	spans := r.Telemetry != nil && r.Telemetry.Dir() != ""
+	artifacts := runstore.Artifacts(r.Out, bench+"-"+shortKey(k)+".", rep != nil, spans)
+	if r.Out != "" {
+		err := r.retryIO("harness.out", k, cell, func() error {
+			err := runstore.WriteArtifact(artifacts["metrics"], func(w io.Writer) error { return col.WriteJSON(w, res.Stats.Cycles) })
+			if err == nil && rep != nil {
+				err = runstore.WriteArtifact(artifacts["attrib"], rep.WriteJSON)
 			}
+			return classifyIO("harness.out", err)
+		})
+		if err != nil {
+			return nil, r.quarantine(k, bench, err)
 		}
 	}
 	if r.Archive != nil {
@@ -341,22 +329,8 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		}
 		if r.Telemetry != nil {
 			man.RunID = r.Telemetry.ID
-			if dir := r.Telemetry.Dir(); dir != "" {
-				man.Artifacts = map[string]string{"spans": filepath.Join(dir, "spans.jsonl")}
-			}
 		}
-		if col != nil && r.MetricsDir != "" {
-			if man.Artifacts == nil {
-				man.Artifacts = map[string]string{}
-			}
-			man.Artifacts["metrics"] = filepath.Join(r.MetricsDir, exportName(bench, k, ".json"))
-		}
-		if rep != nil && r.AttribDir != "" {
-			if man.Artifacts == nil {
-				man.Artifacts = map[string]string{}
-			}
-			man.Artifacts["attrib"] = filepath.Join(r.AttribDir, exportName(bench, k, ".attrib.json"))
-		}
+		man.Artifacts = artifacts
 		if rep != nil {
 			man.Attrib = runstore.SummarizeAttrib(rep)
 		}
@@ -393,26 +367,6 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	return res, nil
 }
 
-// exportName names a per-cell export file: the benchmark plus the short
-// memo-key hash (so sweep points do not collide) plus a suffix. The same
-// tag appears in ledger keys, telemetry spans, and archive manifests.
-func exportName(bench, key, suffix string) string {
-	return bench + "-" + shortKey(key) + suffix
-}
-
-// writeMetrics exports one run's collector as JSON under MetricsDir.
-func (r *Runner) writeMetrics(bench, key string, col *metrics.Collector, cycles uint64) error {
-	f, err := os.Create(filepath.Join(r.MetricsDir, exportName(bench, key, ".json")))
-	if err != nil {
-		return fmt.Errorf("harness: metrics export: %w", err)
-	}
-	if err := col.WriteJSON(f, cycles); err != nil {
-		f.Close()
-		return fmt.Errorf("harness: metrics export: %w", err)
-	}
-	return f.Close()
-}
-
 // AttribReport returns the attribution report memoized for a simulation,
 // running it (with attribution attached) if needed.
 func (r *Runner) AttribReport(bench string, cfg sta.Config) (*attrib.Report, error) {
@@ -432,21 +386,10 @@ func (r *Runner) AttribReport(bench string, cfg sta.Config) (*attrib.Report, err
 	r.mu.Lock()
 	rep = r.attribs[k]
 	r.mu.Unlock()
+	if rep == nil {
+		return nil, fmt.Errorf("harness: %s ran without attribution (sampled runs carry none)", bench)
+	}
 	return rep, nil
-}
-
-// writeAttrib exports one run's attribution report as JSON under AttribDir,
-// named like writeMetrics output with an .attrib.json suffix.
-func (r *Runner) writeAttrib(bench, key string, rep *attrib.Report) error {
-	f, err := os.Create(filepath.Join(r.AttribDir, exportName(bench, key, ".attrib.json")))
-	if err != nil {
-		return fmt.Errorf("harness: attrib export: %w", err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("harness: attrib export: %w", err)
-	}
-	return f.Close()
 }
 
 // batch runs all jobs concurrently, memoizing results. A failed cell does

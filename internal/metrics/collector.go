@@ -35,12 +35,16 @@ type Collector struct {
 	// cycles, fork (or region begin) to retirement or to kill.
 	ThreadRetire *Histogram
 	ThreadKill   *Histogram
-
-	// MissSpanMin is the minimum access latency, in cycles, for which a
-	// timeline memory span is emitted; accesses faster than this (L1 and
-	// side-buffer hits) would flood the trace. Default 4.
-	MissSpanMin uint64
 }
+
+// MissSpanMin is the minimum access latency, in cycles, for which a
+// timeline memory span is emitted; accesses faster than this (L1 and
+// side-buffer hits) would flood the trace.
+const MissSpanMin = 4
+
+// Interval is the sampling interval, in cycles, of the time series the
+// command-line tools export.
+const Interval = 10000
 
 // NewCollector builds a collector. interval > 0 attaches an interval
 // sampler; 0 disables the time series. A timeline is not attached by
@@ -53,7 +57,6 @@ func NewCollector(interval uint64) *Collector {
 		WECPromotion: NewHistogram("wec_promotion", "cycles"),
 		ThreadRetire: NewHistogram("thread_retire", "cycles"),
 		ThreadKill:   NewHistogram("thread_kill", "cycles"),
-		MissSpanMin:  4,
 	}
 	if interval > 0 {
 		c.Sampler = NewSampler(interval)
@@ -70,7 +73,7 @@ func (c *Collector) ObserveMemAccess(tu, pc int, start, done uint64, wrong bool)
 	}
 	lat := done - start
 	c.MemLatency.Observe(lat)
-	if c.Timeline != nil && lat >= c.MissSpanMin {
+	if c.Timeline != nil && lat >= MissSpanMin {
 		c.Timeline.MemSpan(tu, start, done, wrong, pc)
 	}
 }

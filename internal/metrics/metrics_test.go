@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -167,5 +168,24 @@ func TestTimelineStageMachine(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing %q span; have %v", want, names)
 		}
+	}
+}
+
+// TestTimelineFinishInTUOrder: spans still open at the halt close in TU
+// order, so identical runs export byte-identical timelines.
+func TestTimelineFinishInTUOrder(t *testing.T) {
+	tl := NewTimeline()
+	for _, tu := range []int{5, 2, 7, 3} {
+		tl.Event(trace.Event{Cycle: 10, TU: tu, Kind: trace.WrongMark})
+	}
+	before := len(tl.events)
+	tl.Finish(100)
+	var tids []int
+	for _, e := range tl.events[before:] {
+		tids = append(tids, e.Tid)
+	}
+	want := []int{pipeTID(0), pipeTID(2), pipeTID(3), pipeTID(5), pipeTID(7)}
+	if fmt.Sprint(tids) != fmt.Sprint(want) {
+		t.Fatalf("close-out tracks %v, want %v", tids, want)
 	}
 }

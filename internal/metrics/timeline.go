@@ -215,9 +215,14 @@ func (t *Timeline) AttribInstant(tu int, name string, cycle uint64, args map[str
 }
 
 // Finish closes every open span at the given end cycle (wrong threads can
-// still be running when the machine halts).
+// still be running when the machine halts), in TU order so the export is
+// deterministic.
 func (t *Timeline) Finish(cycle uint64) {
-	for tu, s := range t.tus {
+	for tu := 0; tu <= t.maxTU; tu++ {
+		s, ok := t.tus[tu]
+		if !ok {
+			continue
+		}
 		if s.seqOpen {
 			t.span(pipeTID(tu), "sequential", "stage", s.seqStart, cycle)
 			s.seqOpen = false

@@ -26,7 +26,10 @@ package runstore
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -66,6 +69,39 @@ func SummarizeAttrib(rep *attrib.Report) *AttribSummary {
 		Polluting:  rep.Polluting.Total(),
 		VictimHits: rep.VictimHits,
 	}
+}
+
+// Artifacts names the files a run with output directory out writes, keyed
+// by kind as Manifest.Artifacts records them: the metrics export
+// (prefix+"metrics.json"; the prefix tells a sweep's cells apart), the
+// attribution report (prefix+"attrib.json") when attrib is set, and the
+// span journal when spans is set. A run without an output directory
+// writes none.
+func Artifacts(out, prefix string, attrib, spans bool) map[string]string {
+	if out == "" {
+		return nil
+	}
+	a := map[string]string{"metrics": filepath.Join(out, prefix+"metrics.json")}
+	if attrib {
+		a["attrib"] = filepath.Join(out, prefix+"attrib.json")
+	}
+	if spans {
+		a["spans"] = filepath.Join(out, "spans.jsonl")
+	}
+	return a
+}
+
+// WriteArtifact creates path and streams write's output into it.
+func WriteArtifact(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Manifest is one archived cell: everything cross-run analytics need to

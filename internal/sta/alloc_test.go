@@ -92,7 +92,7 @@ func TestStepSteadyStateZeroAllocsWithTap(t *testing.T) {
 		m.step()
 		m.publishProgress(false)
 	})
-	// The throttle opens every DefaultTapPeriod, pushing one ring sample
+	// The throttle opens every TapPeriod, pushing one ring sample
 	// (a PerTU slice): amortized over 10k steps that rounds to 0, but give
 	// the guard headroom for one tick landing inside the measured window.
 	if allocs > 0.01 {

@@ -130,7 +130,10 @@ type Machine struct {
 	// from every data unit: the prefetch-effectiveness attribution layer.
 	// Attach before Run; read results with Attrib.Report after. When
 	// Metrics is also attached, the attribution counters register in its
-	// registry and pollution/promotion instants go to its timeline.
+	// registry and pollution/promotion instants go to its timeline. A
+	// sampled run (Sample enabled) sets Attrib to nil when it starts:
+	// fast-forwarding skips fills the report accounts for, so the report
+	// could not reconcile.
 	Attrib *attrib.Collector
 
 	// DisableSkip forces the machine to step every thread unit every
@@ -189,8 +192,11 @@ type Machine struct {
 	halted     bool
 	inParallel bool
 	regionMask int64
-	pending    *pendingFork
+	pending    *pendingFork // nil or &forkSlot
 	seqLoops   bool
+	// forkSlot holds the one pending fork a machine can have (OnFork
+	// panics on a second), so forks reuse it instead of allocating.
+	forkSlot pendingFork
 
 	// progress counts retirement-class events (committed instructions,
 	// drained stores, thread starts and deaths); the watchdog fires when
@@ -637,7 +643,7 @@ var tuStateNames = [...]string{
 // Snapshot captures every thread unit's pipeline state for diagnostics:
 // the lifecycle state, the thread-chain links, the memory-buffer occupancy,
 // and the core's ROB-head summary. Used by the watchdog, the panic
-// supervisor, and stasim -dump-on-hang.
+// supervisor, and stasim's failure report.
 func (m *Machine) Snapshot() []simerr.TUState {
 	out := make([]simerr.TUState, len(m.tus))
 	for i := range m.tus {

@@ -14,8 +14,12 @@ import (
 
 // attachAttrib wires the attribution collector into every data unit and,
 // when a metrics collector is also attached, into its counter registry and
-// timeline. Called once at the top of Run, after attachMetrics.
+// timeline. A sampled run drops it instead (see Machine.Attrib). Called
+// once at the top of Run, after attachMetrics.
 func (m *Machine) attachAttrib() {
+	if m.Sample.Enabled() {
+		m.Attrib = nil
+	}
 	a := m.Attrib
 	if a == nil {
 		return

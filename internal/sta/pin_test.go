@@ -50,20 +50,20 @@ func pinCases() []pinCase {
 		}
 	}
 	return []pinCase{
-		{"vpr/wth-wp-wec/8tu", "vpr", config.WTHWPWEC, 8, nil, 107076, 930, nil},
-		{"gzip/wth-wp-wec/8tu", "gzip", config.WTHWPWEC, 8, nil, 69415, 987, nil},
-		{"mcf/wth-wp-wec/8tu", "mcf", config.WTHWPWEC, 8, nil, 148836, 1035, nil},
-		{"parser/wth-wp-wec/8tu", "parser", config.WTHWPWEC, 8, nil, 138473, 972, nil},
-		{"equake/wth-wp-wec/8tu", "equake", config.WTHWPWEC, 8, nil, 160259, 1037, nil},
-		{"mesa/wth-wp-wec/8tu", "mesa", config.WTHWPWEC, 8, nil, 318566, 2454, nil},
-		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 998, nil},
+		{"vpr/wth-wp-wec/8tu", "vpr", config.WTHWPWEC, 8, nil, 107076, 429, nil},
+		{"gzip/wth-wp-wec/8tu", "gzip", config.WTHWPWEC, 8, nil, 69415, 456, nil},
+		{"mcf/wth-wp-wec/8tu", "mcf", config.WTHWPWEC, 8, nil, 148836, 483, nil},
+		{"parser/wth-wp-wec/8tu", "parser", config.WTHWPWEC, 8, nil, 138473, 497, nil},
+		{"equake/wth-wp-wec/8tu", "equake", config.WTHWPWEC, 8, nil, 160259, 498, nil},
+		{"mesa/wth-wp-wec/8tu", "mesa", config.WTHWPWEC, 8, nil, 318566, 448, nil},
+		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 446, nil},
 		{"gzip/orig/1tu", "gzip", config.Orig, 1, nil, 61747, 154, nil},
 		{"mcf/wth-wp-wec/8tu+metrics", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Metrics = metrics.NewCollector(10000) }, 148836, 1515, nil},
+			func(m *sta.Machine) { m.Metrics = metrics.NewCollector(10000) }, 148836, 963, nil},
 		{"mcf/wth-wp-wec/8tu+tap", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Tap = &sta.ProgressTap{} }, 148836, 1039, nil},
-		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 1608, nil},
-		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 2380, nil},
+			func(m *sta.Machine) { m.Tap = &sta.ProgressTap{} }, 148836, 487, nil},
+		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 876, nil},
+		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 1578, nil},
 		{"mcf/wth-wp-wec/8tu+sampled", "mcf", config.WTHWPWEC, 8, sampled(0), 18546, 376, &stats.Sampled{
 			EstCycles: 79319.79390432728, EstCyclesLo: 77024.95789291285, EstCyclesHi: 82224.87707692308,
 			IPC: 2.4419900497512437, IPCLo: 2.3305844388669774, IPCHi: 2.5378188214599824,

@@ -25,26 +25,19 @@ type ProgressSample struct {
 	PerTU []uint64 `json:"per_tu,omitempty"`
 }
 
-// DefaultTapRing bounds a ProgressTap's sample ring unless RingSize
-// overrides it: enough history to reconstruct the last ~30 seconds of a
-// run at the default sampling period.
-const DefaultTapRing = 128
+// TapRing bounds a ProgressTap's sample ring: enough history to
+// reconstruct the last ~30 seconds of a run at TapPeriod.
+const TapRing = 128
 
-// DefaultTapPeriod is the minimum wall-clock spacing of ring samples (and
+// TapPeriod is the minimum wall-clock spacing of ring samples (and
 // registry bridge snapshots). Atomic cycle/commit publication is not
 // throttled; only the heavier ring/bridge work is.
-const DefaultTapPeriod = 250 * time.Millisecond
+const TapPeriod = 250 * time.Millisecond
 
 // ProgressTap receives live progress from one running machine. Attach to
 // Machine.Tap before Run. The publishing side is the simulation goroutine;
 // every reader-facing method is safe to call concurrently with the run.
 type ProgressTap struct {
-	// Period throttles ring samples and registry bridging (0 means
-	// DefaultTapPeriod). RingSize bounds the sample ring (0 means
-	// DefaultTapRing). Set before the run starts.
-	Period   time.Duration
-	RingSize int
-
 	cycle   atomic.Uint64
 	commits atomic.Uint64
 
@@ -127,20 +120,9 @@ func (t *ProgressTap) at(i int) ProgressSample {
 	return t.ring[j]
 }
 
-func (t *ProgressTap) period() time.Duration {
-	if t.Period > 0 {
-		return t.Period
-	}
-	return DefaultTapPeriod
-}
-
 func (t *ProgressTap) push(s ProgressSample) {
 	if t.ring == nil {
-		n := t.RingSize
-		if n <= 0 {
-			n = DefaultTapRing
-		}
-		t.ring = make([]ProgressSample, n)
+		t.ring = make([]ProgressSample, TapRing)
 	}
 	t.ring[t.head] = s
 	t.head = (t.head + 1) % len(t.ring)
@@ -152,9 +134,9 @@ func (t *ProgressTap) push(s ProgressSample) {
 // publishProgress pushes the machine's progress into the attached tap.
 // Called from the run loop every 1024 iterations (and from the failure
 // paths with force=true so the flight recorder sees the dying state).
-// Between worker rendezvous the coordinator is the only goroutine touching
-// simulator state, so the reads below are race-free; readers only ever see
-// the atomics and the mutex-guarded copies.
+// Only the simulation goroutine touches simulator state, so the reads below
+// are race-free; readers only ever see the atomics and the mutex-guarded
+// copies.
 func (m *Machine) publishProgress(force bool) {
 	t := m.Tap
 	if t == nil {
@@ -171,7 +153,7 @@ func (m *Machine) publishProgress(force bool) {
 	if t.started.IsZero() {
 		t.started = now
 	}
-	if force || now.Sub(t.lastTick) >= t.period() {
+	if force || now.Sub(t.lastTick) >= TapPeriod {
 		t.lastTick = now
 		per := make([]uint64, len(m.tus))
 		for i := range m.tus {

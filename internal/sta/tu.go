@@ -315,7 +315,8 @@ func (tu *threadUnit) OnFork(cycle uint64, target int) {
 	if m.pending != nil {
 		panic("sta: two pending forks (workload forked twice per iteration?)")
 	}
-	pf := &pendingFork{fromTU: tu.id, target: target, mask: m.regionMask, parentGen: tu.gen}
+	pf := &m.forkSlot
+	*pf = pendingFork{fromTU: tu.id, target: target, mask: m.regionMask, parentGen: tu.gen}
 	pf.regs = tu.core.IntRegs
 	m.pending = pf
 	m.emit(tu.id, trace.Fork, int64(target))

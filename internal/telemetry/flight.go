@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/runstore"
 	"repro/internal/simerr"
 	"repro/internal/sta"
 )
@@ -149,17 +150,12 @@ func (r *Run) DumpFlight(c *Cell, cause error) (string, error) {
 	d := r.BuildFlightDump(c, cause)
 	name := fmt.Sprintf("flight-%s-%s-span%d.json", d.Bench, d.Config, d.Span)
 	path := filepath.Join(r.cfg.Dir, name)
-	f, err := os.Create(path)
+	err := runstore.WriteArtifact(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(d)
+	})
 	if err != nil {
-		return "", fmt.Errorf("telemetry: flight dump: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(d); err != nil {
-		f.Close()
-		return "", fmt.Errorf("telemetry: flight dump: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return "", fmt.Errorf("telemetry: flight dump: %w", err)
 	}
 	return path, nil

@@ -113,12 +113,15 @@ func OutcomeOf(err error) string {
 }
 
 // ConvertSpans reads span JSONL (as written to spans.jsonl) and renders a
-// Chrome trace-event / Perfetto JSON timeline: suites on track 0, each
-// cell (with its sim and retry children) on the track of its span ID, all
-// in wall-clock microseconds relative to the earliest span. Conversion
-// stops at the first malformed record, so a live (still-appending) file
-// converts cleanly. The events are internal/metrics' trace-event types.
-func ConvertSpans(in io.Reader, out io.Writer) error {
+// Chrome trace-event / Perfetto JSON timeline of one run's spans (a
+// directory's journal holds every run made in it): suites on track 0,
+// each cell (with its sim and retry children) on the track of its span
+// ID, all in wall-clock microseconds relative to the earliest span.
+// Conversion stops at the first malformed record, such as the torn tail
+// of a killed run. Run.Close is its caller: it renders the closing run's
+// spans, so a killed run's spans stay in the journal unrendered. The
+// events are internal/metrics' trace-event types.
+func ConvertSpans(in io.Reader, out io.Writer, run string) error {
 	dec := json.NewDecoder(in)
 	var spans []Span
 	for {
@@ -126,7 +129,9 @@ func ConvertSpans(in io.Reader, out io.Writer) error {
 		if dec.Decode(&s) != nil {
 			break // end of input, or the torn tail of a live file
 		}
-		spans = append(spans, s)
+		if s.Run == run {
+			spans = append(spans, s)
+		}
 	}
 	if len(spans) == 0 {
 		return fmt.Errorf("telemetry: no spans to convert")

@@ -7,9 +7,10 @@
 //
 //   - span tracing: every suite, cell, retry, and machine invocation opens
 //     a Span (run ID, config memo key, seed, start/end cycle, outcome from
-//     the simerr taxonomy); completed spans stream to a JSONL file and can
-//     be re-rendered as a Chrome trace-event/Perfetto timeline next to the
-//     cycle-level timeline from internal/metrics.
+//     the simerr taxonomy); completed spans stream to spans.jsonl and, on
+//     Close, the run's spans are rendered as a Chrome trace-event/Perfetto
+//     timeline (spans.trace.json) that loads beside the cycle-level
+//     timeline from internal/metrics.
 //   - an HTTP introspection server (opt-in): /metrics in Prometheus text
 //     format (suite gauges plus each live cell's bridged metrics
 //     registry), /runs as live JSON of in-flight spans, /healthz, and the
@@ -29,6 +30,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -51,8 +53,9 @@ type Config struct {
 	// Addr is the HTTP introspection listen address ("" disables the
 	// server). Use "127.0.0.1:0" to pick a free port; Run.Addr reports it.
 	Addr string
-	// Dir receives the span JSONL (spans.jsonl) and flight-recorder dumps
-	// ("" disables both files; spans still feed the in-memory ring).
+	// Dir receives the span JSONL (spans.jsonl), its rendered trace
+	// (spans.trace.json) and flight-recorder dumps ("" disables the
+	// files; spans still feed the in-memory ring).
 	Dir string
 	// Log is the base logger; nil installs a text handler on stderr at
 	// Info level. The Run's logger carries the run ID on every record.
@@ -93,6 +96,8 @@ type Run struct {
 	spans *journal.Journal // spans.jsonl; nil without a Dir
 
 	server *httpServer
+
+	stopProfile func() error // set by StartProfile; Close calls it
 }
 
 // NewRunID returns a unique, sortable run identifier: UTC timestamp plus
@@ -164,8 +169,11 @@ func (r *Run) Dir() string { return r.cfg.Dir }
 // Flight exposes the flight recorder (tests, dumps).
 func (r *Run) Flight() *Recorder { return r.flight }
 
-// Close ends the run: any still-open suite span is closed, the span file
-// flushed, and the HTTP server shut down.
+// Close ends the run: any still-open suite span is closed, the profile
+// begun by StartProfile written, the span file flushed and rendered as a
+// Perfetto trace (spans.trace.json) beside it, and the HTTP server shut
+// down. A run that never reaches Close (killed, or crashed outside cell
+// supervision) leaves its spans in spans.jsonl unrendered.
 func (r *Run) Close() error {
 	r.mu.Lock()
 	suite := r.suite
@@ -174,13 +182,41 @@ func (r *Run) Close() error {
 		suite.End("canceled", nil)
 	}
 	var err error
+	if stop := r.stopProfile; stop != nil {
+		r.stopProfile = nil
+		err = stop()
+	}
 	if r.spans != nil {
-		err = r.spans.Close()
+		if cerr := r.spans.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = r.renderSpans()
+		}
 	}
 	if r.server != nil {
 		r.server.close()
 	}
 	return err
+}
+
+// renderSpans converts this run's spans in the closed journal to
+// spans.trace.json, which loads in the same UI as a simulation's
+// cycle-level timeline; earlier runs in the directory are left out. A run
+// with no spans renders nothing.
+func (r *Run) renderSpans() error {
+	raw, err := os.ReadFile(filepath.Join(r.cfg.Dir, "spans.jsonl"))
+	if err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	var out bytes.Buffer
+	if ConvertSpans(bytes.NewReader(raw), &out, r.ID) != nil {
+		return nil
+	}
+	if err := os.WriteFile(filepath.Join(r.cfg.Dir, "spans.trace.json"), out.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	return nil
 }
 
 // SetLedger records the results-ledger path so failure messages and the

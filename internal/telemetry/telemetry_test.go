@@ -138,7 +138,7 @@ func TestConvertSpans(t *testing.T) {
 	// cleanly rather than error.
 	raw = append(raw, []byte(`{"id":99,"run":"trunc`)...)
 	var out bytes.Buffer
-	if err := ConvertSpans(bytes.NewReader(raw), &out); err != nil {
+	if err := ConvertSpans(bytes.NewReader(raw), &out, r.ID); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -162,6 +162,18 @@ func TestConvertSpans(t *testing.T) {
 	}
 	if cells != 1 || suites != 1 {
 		t.Fatalf("converted %d cell / %d suite events, want 1/1", cells, suites)
+	}
+
+	// Close renders the journal beside it.
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := os.ReadFile(filepath.Join(dir, "spans.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(rendered) || !bytes.Contains(rendered, []byte(`"cat":"cell"`)) {
+		t.Fatalf("spans.trace.json is not the rendered journal:\n%s", rendered)
 	}
 }
 
@@ -199,24 +211,35 @@ func TestSpanLogTornTailNextRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out bytes.Buffer
-			if err := ConvertSpans(bytes.NewReader(raw), &out); err != nil {
+			// Both runs' cells render, each in its own run's trace.
+			for run, want := range map[string]string{first.ID: "gzip/cfg-00000001", second.ID: "mcf/cfg-00000002"} {
+				var out bytes.Buffer
+				if err := ConvertSpans(bytes.NewReader(raw), &out, run); err != nil {
+					t.Fatal(err)
+				}
+				var doc struct {
+					TraceEvents []struct {
+						Name string `json:"name"`
+					} `json:"traceEvents"`
+				}
+				if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range doc.TraceEvents {
+					names = append(names, e.Name)
+				}
+				if got := strings.Join(names, ","); got != "process_name,"+want {
+					t.Fatalf("run %s converted events %s, want its own cell %s", run, got, want)
+				}
+			}
+			// The trace the second run rendered at Close leaves the first out.
+			rendered, err := os.ReadFile(filepath.Join(dir, "spans.trace.json"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			var doc struct {
-				TraceEvents []struct {
-					Name string `json:"name"`
-				} `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-				t.Fatal(err)
-			}
-			var names []string
-			for _, e := range doc.TraceEvents {
-				names = append(names, e.Name)
-			}
-			if got := strings.Join(names, ","); got != "process_name,gzip/cfg-00000001,mcf/cfg-00000002" {
-				t.Fatalf("converted events %s, want both runs' cells", got)
+			if !bytes.Contains(rendered, []byte("mcf/")) || bytes.Contains(rendered, []byte("gzip/")) {
+				t.Fatalf("spans.trace.json does not hold exactly the second run's cell:\n%s", rendered)
 			}
 		})
 	}

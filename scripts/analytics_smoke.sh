@@ -20,12 +20,14 @@ go build -o "$work/simql" ./cmd/simql
 runs="$work/runs"
 
 # Mini-sweep: 3 benchmarks x {orig, WEC-2, WEC-16} on the 8-TU machine.
-# The WEC cells carry fill attribution so the dashboard's fill-class
-# panel has data.
+# The WEC cells write their artifacts under -out, which attaches fill
+# attribution, so the dashboard's fill-class panel has data.
 for b in mcf gzip vpr; do
     "$work/stasim" -bench "$b" -config orig -archive "$runs" > /dev/null
-    "$work/stasim" -bench "$b" -config wth-wp-wec -side 2 -attrib -archive "$runs" > /dev/null
-    "$work/stasim" -bench "$b" -config wth-wp-wec -side 16 -attrib -archive "$runs" > /dev/null
+    for side in 2 16; do
+        "$work/stasim" -bench "$b" -config wth-wp-wec -side "$side" \
+            -out "$work/out/$b-wec$side" -archive "$runs" > /dev/null
+    done
 done
 
 cells=$("$work/simql" list -root "$runs" | tail -n +2 | grep -c .)

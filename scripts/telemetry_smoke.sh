@@ -2,8 +2,10 @@
 # Telemetry smoke test: run a scaled-down sweep with the live introspection
 # server attached, curl every endpoint while cells are in flight, assert
 # the Prometheus exposition is well-formed, then force a failure and check
-# the flight recorder dumped. Artifacts (span journal, flight dump, curled
-# endpoint bodies) land in the directory given by $1 (default: a temp dir).
+# the flight recorder dumped. Artifacts (the sweeps' -out files: span
+# journal and its rendered trace, flight dumps, per-cell reports; plus the
+# curled endpoint bodies) land in the directory given by $1 (default: a
+# temp dir).
 set -euo pipefail
 
 out=${1:-$(mktemp -d)}
@@ -18,7 +20,7 @@ addr=127.0.0.1:9180
 # A sweep big enough to still be running when we curl (scale grows the
 # workloads; fig12 is an 8-benchmark x 6-associativity sweep).
 "$work/experiments" -run fig12 -scale 6 \
-    -telemetry-addr "$addr" -telemetry-dir "$out" \
+    -telemetry-addr "$addr" -out "$out" \
     2> "$out/suite.log" &
 pid=$!
 
@@ -65,14 +67,13 @@ EOF
 wait "$pid"
 echo "live sweep finished; $(wc -l < "$out/spans.jsonl") spans journaled"
 
-# Span journal converts to a Perfetto trace.
-"$work/experiments" -span-timeline "$out/spans.jsonl" > /dev/null
-python3 -m json.tool "$out/spans.jsonl.trace.json" > /dev/null
+# Closing the sweep rendered the span journal as a Perfetto trace.
+python3 -m json.tool "$out/spans.trace.json" > /dev/null
 
 # Forced failure: seeded chaos panics every cell; each must produce a
 # flight-recorder dump next to the span journal.
 if "$work/experiments" -run fig8 -workers 2 -chaos-seed 9 -chaos-panic 1 \
-    -telemetry-dir "$out" 2>> "$out/suite.log"; then
+    -out "$out" 2>> "$out/suite.log"; then
     echo "FAIL: chaos suite unexpectedly succeeded" >&2
     exit 1
 fi
