@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/runstore"
 )
@@ -14,34 +13,36 @@ import (
 // archived selections per (benchmark, scale), reports each metric's mean
 // relative delta with a bootstrap confidence interval over the benchmark
 // set, and exits nonzero on a significant regression.
-func cmdDiff(args []string) int {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+func cmdDiff(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	root := fs.String("root", "runs", "archive root directory")
 	tol := fs.Float64("tol", 0.01, "relative regression tolerated before the exit code trips")
 	boot := fs.Int("boot", 10000, "bootstrap resamples")
 	seed := fs.Uint64("seed", 0, "bootstrap RNG seed (0 = fixed default; any value is deterministic)")
 	conf := fs.Float64("conf", 0.95, "confidence interval mass")
 	format := fs.String("format", "table", "output format: table or json")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	if fs.NArg() != 2 {
-		return fail(fmt.Errorf("simql diff: want exactly two arguments (selector A and selector B)"))
+		return fail(stderr, fmt.Errorf("simql diff: want exactly two arguments (selector A and selector B)"))
 	}
 
 	ms, err := openAll(*root)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	a, err := selectFrom(ms, fs.Arg(0))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	b, err := selectFrom(ms, fs.Arg(1))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	pairs, err := runstore.PairByBench(a, b)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 
 	var deltas []runstore.DeltaStat
@@ -50,14 +51,14 @@ func cmdDiff(args []string) int {
 	}
 
 	if *format == "json" {
-		if err := writeJSON(os.Stdout, map[string]any{
+		if err := writeJSON(stdout, map[string]any{
 			"a": fs.Arg(0), "b": fs.Arg(1), "pairs": len(pairs), "metrics": deltas,
 		}); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 	} else {
-		fmt.Printf("diff: A=%q vs B=%q over %d paired benchmark(s)\n", fs.Arg(0), fs.Arg(1), len(pairs))
-		fmt.Printf("positive delta = B better; CI is the %.0f%% bootstrap interval over benchmarks\n\n", *conf*100)
+		fmt.Fprintf(stdout, "diff: A=%q vs B=%q over %d paired benchmark(s)\n", fs.Arg(0), fs.Arg(1), len(pairs))
+		fmt.Fprintf(stdout, "positive delta = B better; CI is the %.0f%% bootstrap interval over benchmarks\n\n", *conf*100)
 		for _, d := range deltas {
 			verdict := "ok"
 			if d.Regressed(*tol) {
@@ -65,16 +66,16 @@ func cmdDiff(args []string) int {
 			} else if d.Mean > *tol && d.Lo > 0 {
 				verdict = "improved"
 			}
-			fmt.Printf("%-14s mean %+7.2f%%  CI [%+7.2f%%, %+7.2f%%]  %s\n",
+			fmt.Fprintf(stdout, "%-14s mean %+7.2f%%  CI [%+7.2f%%, %+7.2f%%]  %s\n",
 				d.Metric, d.Mean*100, d.Lo*100, d.Hi*100, verdict)
 			for _, b := range d.Benches {
-				fmt.Printf("    %-8s %14.4f -> %14.4f  (%+.2f%%)\n", b.Bench, b.A, b.B, b.Rel*100)
+				fmt.Fprintf(stdout, "    %-8s %14.4f -> %14.4f  (%+.2f%%)\n", b.Bench, b.A, b.B, b.Rel*100)
 			}
 		}
 	}
 	for _, d := range deltas {
 		if d.Regressed(*tol) {
-			fmt.Fprintf(os.Stderr, "simql diff: %s regressed %.2f%% (CI [%+.2f%%, %+.2f%%], tolerance %.2f%%)\n",
+			fmt.Fprintf(stderr, "simql diff: %s regressed %.2f%% (CI [%+.2f%%, %+.2f%%], tolerance %.2f%%)\n",
 				d.Metric, -d.Mean*100, d.Lo*100, d.Hi*100, *tol*100)
 			return 1
 		}

@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strings"
@@ -51,44 +53,41 @@ const selectorHelp = `selector syntax: comma-separated k=v filters, all must mat
     simql diff "orig,tus=8" "wth-wp-wec,tus=8,side=16"`
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+// run is the whole command: it returns the exit code instead of exiting,
+// so tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		usage()
+		usage(stderr)
 		return 2
 	}
 	cmd, rest := args[0], args[1:]
+	commands := map[string]func(args []string, stdout, stderr io.Writer) int{
+		"list": cmdList, "show": cmdShow, "grep": cmdGrep,
+		"diff": cmdDiff, "pareto": cmdPareto, "report": cmdReport,
+	}
+	if c, ok := commands[cmd]; ok {
+		return c(rest, stdout, stderr)
+	}
 	switch cmd {
-	case "list":
-		return cmdList(rest)
-	case "show":
-		return cmdShow(rest)
-	case "grep":
-		return cmdGrep(rest)
-	case "diff":
-		return cmdDiff(rest)
-	case "pareto":
-		return cmdPareto(rest)
-	case "report":
-		return cmdReport(rest)
 	case "help", "-h", "-help", "--help":
 		if len(rest) > 0 && rest[0] == "selectors" {
-			fmt.Println(selectorHelp)
+			fmt.Fprintln(stdout, selectorHelp)
 			return 0
 		}
-		usage()
+		usage(stderr)
 		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "simql: unknown command %q\n\n", cmd)
-		usage()
+		fmt.Fprintf(stderr, "simql: unknown command %q\n\n", cmd)
+		usage(stderr)
 		return 2
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: simql <command> [flags] [args]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: simql <command> [flags] [args]
 
 commands:
   list    list archived manifests (optionally filtered by a selector)
@@ -98,6 +97,20 @@ commands:
   pareto  speedup-vs-hardware-cost frontier against a baseline selection
   report  render a self-contained HTML dashboard
   help    selectors: 'simql help selectors'`)
+}
+
+// parse parses a subcommand's flags, reporting usage and errors on
+// stderr. When it reports !ok the command ends with code: 0 after -h, 2
+// for a bad flag.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (code int, ok bool) {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false
+	}
+	return 0, true
 }
 
 // openAll opens the archive and returns every manifest.
@@ -130,32 +143,34 @@ func selectFrom(ms []*runstore.Manifest, expr string) ([]*runstore.Manifest, err
 	return out, nil
 }
 
-func cmdList(args []string) int {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
+func cmdList(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("list", flag.ContinueOnError)
 	root := fs.String("root", "runs", "archive root directory")
 	format := fs.String("format", "table", "output format: table or csv")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	ms, err := openAll(*root)
 	if err == nil {
 		ms, err = selectFrom(ms, strings.Join(fs.Args(), ","))
 	}
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	header := "%-10s %-11s %3s %-4s %4s %5s %-8s %2s %12s %6s %7s %s\n"
 	if *format == "csv" {
-		fmt.Println("cfg_hash,config,tus,sidekind,side,l1kb,bench,scale,cycles,ipc,l1d_miss,tool")
+		fmt.Fprintln(stdout, "cfg_hash,config,tus,sidekind,side,l1kb,bench,scale,cycles,ipc,l1d_miss,tool")
 	} else {
-		fmt.Printf(header, "CFGHASH", "CONFIG", "TUS", "SIDE", "ENTS", "L1KB", "BENCH", "SC", "CYCLES", "IPC", "MISS", "TOOL")
+		fmt.Fprintf(stdout, header, "CFGHASH", "CONFIG", "TUS", "SIDE", "ENTS", "L1KB", "BENCH", "SC", "CYCLES", "IPC", "MISS", "TOOL")
 	}
 	for _, m := range ms {
 		if *format == "csv" {
-			fmt.Printf("%s,%s,%d,%s,%d,%d,%s,%d,%d,%.4f,%.4f,%s\n",
+			fmt.Fprintf(stdout, "%s,%s,%d,%s,%d,%d,%s,%d,%d,%.4f,%.4f,%s\n",
 				m.CfgHash, m.Config, m.TUs, m.SideKind, m.SideEntries, m.L1KB,
 				m.Bench, m.Scale, m.Stats.Cycles, m.IPC(), m.Stats.L1DMissRate(), m.Tool)
 			continue
 		}
-		fmt.Printf(header,
+		fmt.Fprintf(stdout, header,
 			m.CfgHash[:10], m.Config, fmt.Sprint(m.TUs), m.SideKind, fmt.Sprint(m.SideEntries),
 			fmt.Sprint(m.L1KB), m.Bench, fmt.Sprint(m.Scale), fmt.Sprint(m.Stats.Cycles),
 			fmt.Sprintf("%.3f", m.IPC()), fmt.Sprintf("%.4f", m.Stats.L1DMissRate()), m.Tool)
@@ -163,51 +178,55 @@ func cmdList(args []string) int {
 	return 0
 }
 
-func cmdShow(args []string) int {
-	fs := flag.NewFlagSet("show", flag.ExitOnError)
+func cmdShow(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("show", flag.ContinueOnError)
 	root := fs.String("root", "runs", "archive root directory")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	ms, err := openAll(*root)
 	if err == nil {
 		ms, err = selectFrom(ms, strings.Join(fs.Args(), ","))
 	}
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
-	if err := writeJSON(os.Stdout, ms); err != nil {
-		return fail(err)
+	if err := writeJSON(stdout, ms); err != nil {
+		return fail(stderr, err)
 	}
 	return 0
 }
 
-func cmdGrep(args []string) int {
-	fs := flag.NewFlagSet("grep", flag.ExitOnError)
+func cmdGrep(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("grep", flag.ContinueOnError)
 	root := fs.String("root", "runs", "archive root directory")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	if fs.NArg() != 1 {
-		return fail(fmt.Errorf("simql grep: want exactly one regexp argument"))
+		return fail(stderr, fmt.Errorf("simql grep: want exactly one regexp argument"))
 	}
 	re, err := regexp.Compile(fs.Arg(0))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	ms, err := openAll(*root)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	hits := runstore.Grep(ms, re)
 	if len(hits) == 0 {
-		fmt.Fprintf(os.Stderr, "simql: no manifests match %q\n", fs.Arg(0))
+		fmt.Fprintf(stderr, "simql: no manifests match %q\n", fs.Arg(0))
 		return 1
 	}
 	for _, m := range hits {
-		fmt.Printf("%s  %s/%s tus=%d side=%s/%d tool=%s run=%s\n",
+		fmt.Fprintf(stdout, "%s  %s/%s tus=%d side=%s/%d tool=%s run=%s\n",
 			m.CellKey, m.Bench, m.Config, m.TUs, m.SideKind, m.SideEntries, m.Tool, m.RunID)
 	}
 	return 0
 }
 
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, err)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
 	return 1
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"html"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -42,31 +43,33 @@ type reportData struct {
 // cmdReport renders the archive as one self-contained HTML file: no
 // external scripts, styles, fonts, or images — it can be mailed, attached
 // to CI, or opened from file://.
-func cmdReport(args []string) int {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+func cmdReport(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	root := fs.String("root", "runs", "archive root directory")
 	out := fs.String("o", "report.html", "output HTML file")
 	base := fs.String("base", "config=orig", "baseline selector speedups are measured against")
 	title := fs.String("title", "Cross-run analytics", "dashboard title")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 
 	ms, err := openAll(*root)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	baseline, berr := selectFrom(ms, *base)
 	data := reportData{Title: *title}
 	var tables []string
 
 	if berr != nil {
-		fmt.Fprintf(os.Stderr, "simql report: no baseline (%v); speedup and pareto panels omitted\n", berr)
+		fmt.Fprintf(stderr, "simql report: no baseline (%v); speedup and pareto panels omitted\n", berr)
 	} else {
-		if c, ok := speedupChart(ms, baseline, *base); ok {
+		if c, ok := speedupChart(ms, baseline, *base, stderr); ok {
 			data.Charts = append(data.Charts, c)
 			tables = append(tables, chartTable(c, "%.3f"))
 		}
 	}
-	if c, ok := attribChart(ms); ok {
+	if c, ok := attribChart(ms, stderr); ok {
 		data.Charts = append(data.Charts, c)
 		tables = append(tables, chartTable(c, "%.0f"))
 	}
@@ -77,17 +80,17 @@ func cmdReport(args []string) int {
 		}
 	}
 	if len(data.Charts) == 0 && paretoHTML == "" {
-		return fail(fmt.Errorf("simql report: nothing to render (no baseline pairs, no attribution)"))
+		return fail(stderr, fmt.Errorf("simql report: nothing to render (no baseline pairs, no attribution)"))
 	}
 
 	doc, err := renderHTML(&data, tables, paretoHTML, manifestTable(ms), *root, len(ms))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	if err := os.WriteFile(*out, []byte(doc), 0o644); err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
-	fmt.Printf("wrote %s (%d panel(s), %d manifests)\n", *out, len(data.Charts), len(ms))
+	fmt.Fprintf(stdout, "wrote %s (%d panel(s), %d manifests)\n", *out, len(data.Charts), len(ms))
 	return 0
 }
 
@@ -106,7 +109,7 @@ const maxSeries = 8
 
 // speedupChart builds the grouped-bar speedup panel: per benchmark, each
 // non-baseline configuration's speedup over the baseline cell.
-func speedupChart(ms, baseline []*runstore.Manifest, baseExpr string) (chart, bool) {
+func speedupChart(ms, baseline []*runstore.Manifest, baseExpr string, stderr io.Writer) (chart, bool) {
 	baseIdx := make(map[string]*runstore.Manifest)
 	baseHash := make(map[string]bool)
 	for _, m := range baseline {
@@ -145,7 +148,7 @@ func speedupChart(ms, baseline []*runstore.Manifest, baseExpr string) (chart, bo
 		for _, h := range order[maxSeries:] {
 			dropped = append(dropped, groups[h].label)
 		}
-		fmt.Fprintf(os.Stderr, "simql report: %d configuration groups exceed the %d-series panel; dropping %s\n",
+		fmt.Fprintf(stderr, "simql report: %d configuration groups exceed the %d-series panel; dropping %s\n",
 			len(order), maxSeries, strings.Join(dropped, ", "))
 		order = order[:maxSeries]
 	}
@@ -189,7 +192,7 @@ func speedupChart(ms, baseline []*runstore.Manifest, baseExpr string) (chart, bo
 
 // attribChart builds the stacked fill-classification panel from every
 // archived cell that carried the attribution collector.
-func attribChart(ms []*runstore.Manifest) (chart, bool) {
+func attribChart(ms []*runstore.Manifest, stderr io.Writer) (chart, bool) {
 	var cells []*runstore.Manifest
 	for _, m := range ms {
 		if m.Attrib != nil {
@@ -207,7 +210,7 @@ func attribChart(ms []*runstore.Manifest) (chart, bool) {
 	})
 	const maxCells = 24
 	if len(cells) > maxCells {
-		fmt.Fprintf(os.Stderr, "simql report: attribution panel capped at %d of %d cells\n", maxCells, len(cells))
+		fmt.Fprintf(stderr, "simql report: attribution panel capped at %d of %d cells\n", maxCells, len(cells))
 		cells = cells[:maxCells]
 	}
 	c := chart{

@@ -228,7 +228,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}()
 		cell = tr.StartCell(*bench, *cfgName, 0)
-		m.Tap = cell.Tap
 	}
 	var col *metrics.Collector
 	var ev *os.File
@@ -244,16 +243,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer ev.Close()
 		events = bufio.NewWriter(ev)
 		defer events.Flush() // a failed run still leaves its events
-		m.Trace = trace.Writer{W: events}
 		col = metrics.NewCollector(metrics.Interval)
-		col.Timeline = metrics.NewTimeline()
-		m.Metrics = col
-		m.Attrib = attrib.NewCollector() // a sampled run drops it
+		col.Timeline = trace.NewTimeline()
+		col.Events = trace.Writer{W: events}
+		col.Attrib = attrib.NewCollector() // a sampled run drops it
 	}
-	if *progress {
-		if m.Tap == nil {
-			m.Tap = &sta.ProgressTap{}
+	if cell != nil || *progress {
+		if col == nil {
+			col = &metrics.Collector{}
 		}
+		if cell != nil {
+			col.Tap = cell.Tap
+		} else {
+			col.Tap = &metrics.ProgressTap{}
+		}
+	}
+	m.Obs = col
+	if *progress {
 		// The functional reference gives the dynamic instruction count, so
 		// the heartbeat can estimate remaining wall time from commit rate.
 		var refInsts int64
@@ -262,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		stop := make(chan struct{})
 		defer close(stop)
-		go heartbeat(stderr, m.Tap, refInsts, stop)
+		go heartbeat(stderr, col.Tap, refInsts, stop)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -289,10 +295,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	s := &res.Stats
 	var rep *attrib.Report
-	if m.Attrib != nil {
-		rep = m.Attrib.Report(s.Cycles)
-	} else if *out != "" {
-		fmt.Fprintln(stderr, "attribution: none for a sampled run (fast-forwarding skips fills)")
+	if *out != "" {
+		if col.Attrib != nil {
+			rep = col.Attrib.Report(s.Cycles)
+		} else {
+			fmt.Fprintln(stderr, "attribution: none for a sampled run (fast-forwarding skips fills)")
+		}
 	}
 	artifacts := runstore.Artifacts(*out, "", rep != nil, true)
 	if *out != "" {
@@ -320,7 +328,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		if d := col.Timeline.Dropped; d > 0 {
 			fmt.Fprintf(stderr, "timeline: %d events dropped past the %d-event cap\n",
-				d, metrics.DefaultMaxEvents)
+				d, trace.DefaultMaxEvents)
 		}
 	}
 
@@ -396,7 +404,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // current cycle, simulation speed, aggregate IPC, and — when the functional
 // reference ran — the estimated wall time remaining at the current commit
 // rate.
-func heartbeat(w io.Writer, tap *sta.ProgressTap, refInsts int64, stop <-chan struct{}) {
+func heartbeat(w io.Writer, tap *metrics.ProgressTap, refInsts int64, stop <-chan struct{}) {
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	var lastCycle, lastCommits uint64

@@ -1,7 +1,7 @@
 // Package attrib implements the prefetch-effectiveness and cache-pollution
-// attribution layer: an opt-in collector that sits beside metrics.Collector
-// and answers *why* the speculative fill mechanisms (wrong-path loads,
-// wrong-thread loads, next-line prefetch) help or hurt.
+// attribution layer: an opt-in collector, carried by metrics.Collector as
+// its Attrib, that answers *why* the speculative fill mechanisms
+// (wrong-path loads, wrong-thread loads, next-line prefetch) help or hurt.
 //
 // The collector keeps a block-provenance table for every thread unit's L1 +
 // side-buffer pair, recording who brought each resident block in (correct
@@ -35,7 +35,7 @@ package attrib
 import (
 	"fmt"
 
-	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // Origin identifies who caused a fill (or an eviction) in the L1/side pair.
@@ -133,8 +133,9 @@ const (
 	maxShadow = 4096
 )
 
-// Collector is the attribution sink for one simulation run. Attach it to
-// sta.Machine.Attrib before Run; read the results with Report.
+// Collector is the attribution sink for one simulation run. Attach it as
+// the Attrib of the machine's metrics.Collector before Run; read the
+// results with Report.
 //
 // All hook methods tolerate a nil receiver. The collector is not safe for
 // concurrent use — one collector per machine, like metrics.Collector.
@@ -143,7 +144,7 @@ type Collector struct {
 	topN   int    // per-PC rows in Report
 	// Timeline, when non-nil, receives pollution and useful-promotion
 	// instant events on the owning thread unit's memory track.
-	Timeline *metrics.Timeline
+	Timeline *trace.Timeline
 
 	units []*unit
 	pcs   map[int]*PCProfile
@@ -395,10 +396,16 @@ func (a *Collector) Finish() {
 	}
 }
 
-// RegisterInto exposes the aggregate attribution counters in a metrics
-// registry under the "attrib" scope.
-func (a *Collector) RegisterInto(reg *metrics.Registry) {
-	if a == nil || reg == nil {
+// Registrar is the part of a counter registry RegisterInto needs;
+// metrics.Registry implements it.
+type Registrar interface {
+	RegisterFunc(scope, name string, fn func() uint64)
+}
+
+// RegisterInto exposes the aggregate attribution counters in a registry
+// under the "attrib" scope.
+func (a *Collector) RegisterInto(reg Registrar) {
+	if a == nil {
 		return
 	}
 	sum := func(arr *[numOrigins]uint64) func() uint64 {

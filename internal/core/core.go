@@ -288,8 +288,8 @@ type Core struct {
 	fuUsed  [6]int // per FUClass, reset each cycle
 	fuLimit [6]int // per FUClass pool size; FUNone and FUMem are unbounded
 
-	// metrics, when non-nil, observes load-to-use distances at dispatch.
-	metrics *metrics.Collector
+	// loadToUse, when non-nil, observes load-to-use distances at dispatch.
+	loadToUse *metrics.Histogram
 
 	// chaos, when non-nil, draws deterministic panic injections at the top
 	// of Step (the supervision layer's core-level fault point).
@@ -298,8 +298,9 @@ type Core struct {
 	Stats Stats
 }
 
-// SetMetrics attaches (or detaches, with nil) an observability collector.
-func (c *Core) SetMetrics(m *metrics.Collector) { c.metrics = m }
+// SetMetrics attaches an observability collector: the core feeds its
+// load-to-use histogram, when it has one.
+func (c *Core) SetMetrics(m *metrics.Collector) { c.loadToUse = m.LoadToUse }
 
 // SetChaos attaches (or detaches, with nil) a fault injector.
 func (c *Core) SetChaos(in *chaos.Injector) { c.chaos = in }

@@ -792,7 +792,7 @@ func (c *Core) dispatch(cycle uint64, u *isa.Uop) {
 		e.flags |= fUse2
 		c.readOperand(e, 1, u.Rs2, uf&isa.UFP2 != 0)
 	}
-	if c.metrics != nil {
+	if c.loadToUse != nil {
 		c.observeLoadUse(idx, e)
 	}
 
@@ -867,15 +867,15 @@ func (c *Core) dispatch(cycle uint64, u *isa.Uop) {
 // observeLoadUse reports, for each source operand of e (in slot idx) still
 // waiting on an in-flight load, the program-order distance (in
 // instructions) from that load to this consumer — the window the memory
-// system has to hide the load's latency. Called only when a metrics
-// collector is attached.
+// system has to hide the load's latency. Called only when a load-to-use
+// histogram is attached.
 func (c *Core) observeLoadUse(idx int, e *robEntry) {
 	f := e.flags
 	if f&(fUse1|fS1Rdy) == fUse1 && c.rob[e.s1rob].inst.Class == isa.ClassLoad {
-		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(e.s1rob))))
+		c.loadToUse.Observe(uint64(c.posOf(idx) - c.posOf(int(e.s1rob))))
 	}
 	if f&(fUse2|fS2Rdy) == fUse2 && c.rob[e.s2rob].inst.Class == isa.ClassLoad {
-		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(e.s2rob))))
+		c.loadToUse.Observe(uint64(c.posOf(idx) - c.posOf(int(e.s2rob))))
 	}
 }
 

@@ -24,8 +24,9 @@ func runOnce(t *testing.T, cfg sta.Config, w *workload.Workload, collect bool) *
 		t.Fatal(err)
 	}
 	if collect {
-		m.Metrics = metrics.NewCollector(1000)
-		m.Attrib = attrib.NewCollector()
+		col := metrics.NewCollector(1000)
+		col.Attrib = attrib.NewCollector()
+		m.Obs = col
 	}
 	r, err := m.Run()
 	if err != nil {

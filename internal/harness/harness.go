@@ -43,7 +43,7 @@ type Runner struct {
 	// collector, so worker concurrency stays race-free, and exports them
 	// as <bench>-<key>.metrics.json and <bench>-<key>.attrib.json (see
 	// runstore.Artifacts). Sampled cells carry no attribution (see
-	// sta.Machine.Attrib).
+	// sta.Machine.Obs).
 	Out string
 
 	// Attrib attaches a fill-attribution collector to every simulation
@@ -86,10 +86,10 @@ type Runner struct {
 	ArchiveRev string
 	// Telemetry, when non-nil, scopes this runner's work under a live
 	// telemetry run: every fresh cell opens a span and publishes progress
-	// through a sta.ProgressTap (visible on the run's HTTP introspection
-	// server), failures stamp the run/span identity onto their errors and
-	// dump the flight recorder, and suite progress is logged structurally
-	// instead of through Verbose.
+	// through a metrics.ProgressTap (visible on the run's HTTP
+	// introspection server), failures stamp the run/span identity onto
+	// their errors and dump the flight recorder, and suite progress is
+	// logged structurally instead of through Verbose.
 	Telemetry *telemetry.Run
 
 	// Sample, when enabled, runs every cell as a SMARTS-style sampled
@@ -272,21 +272,23 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	var col *metrics.Collector
 	if r.Out != "" {
 		col = metrics.NewCollector(metrics.Interval)
-		m.Metrics = col
+	} else if r.Attrib || cell != nil {
+		col = &metrics.Collector{}
 	}
 	if r.Attrib || r.Out != "" {
-		m.Attrib = attrib.NewCollector() // a sampled run drops it
+		col.Attrib = attrib.NewCollector() // a sampled run drops it
 	}
 	if cell != nil {
-		m.Tap = cell.Tap
+		col.Tap = cell.Tap
 	}
+	m.Obs = col
 	res, err = r.runSupervised(k, m, cell)
 	if err != nil {
 		return nil, r.quarantine(k, bench, err)
 	}
 	var rep *attrib.Report
-	if m.Attrib != nil {
-		rep = m.Attrib.Report(res.Stats.Cycles)
+	if col != nil && col.Attrib != nil {
+		rep = col.Attrib.Report(res.Stats.Cycles)
 	}
 	simWall := time.Since(simStart)
 	if res.MemCheck != ref.MemCheck {

@@ -85,16 +85,18 @@ func (d *DUnit) L1() *cache.Cache { return d.l1 }
 // Side exposes the side buffer tag array (nil if none).
 func (d *DUnit) Side() *cache.Cache { return d.side }
 
-// SetMetrics attaches (or detaches, with nil) an observability collector.
+// SetMetrics attaches an observability collector: the unit observes
+// access latencies when the collector has histograms, and feeds its
+// attribution collector, if any.
 func (d *DUnit) SetMetrics(c *metrics.Collector) {
-	d.metrics = c
-	if c != nil && d.side != nil && d.sideInsertAt == nil {
-		d.sideInsertAt = make(map[uint64]uint64)
+	d.attrib = c.Attrib
+	if c.MemLatency != nil {
+		d.metrics = c
+		if d.side != nil {
+			d.sideInsertAt = make(map[uint64]uint64)
+		}
 	}
 }
-
-// SetAttrib attaches (or detaches, with nil) an attribution collector.
-func (d *DUnit) SetAttrib(a *attrib.Collector) { d.attrib = a }
 
 // CanAccept reports whether another access fits in this cycle's ports.
 func (d *DUnit) CanAccept() bool { return d.ports() < d.cfg.L1DPorts }
@@ -181,7 +183,7 @@ func (d *DUnit) Access(cycle uint64, addr uint64, kind AccessKind, src Source, p
 			}
 			if d.metrics != nil {
 				if at, ok := d.sideInsertAt[block]; ok {
-					d.metrics.ObserveWECPromotion(cycle - at)
+					d.metrics.WECPromotion.Observe(cycle - at)
 					delete(d.sideInsertAt, block)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/attrib"
+	"repro/internal/metrics"
 )
 
 // The tests below pin down the DUnit.fill routing matrix: where a completed
@@ -32,7 +33,7 @@ func newFillRig(t *testing.T, mut func(*Config)) *fillRig {
 		t.Fatal(err)
 	}
 	ac := attrib.NewCollector()
-	h.SetAttrib(ac)
+	h.SetMetrics(&metrics.Collector{Attrib: ac})
 	return &fillRig{t: t, h: h, d: h.DUnit(0), ac: ac}
 }
 

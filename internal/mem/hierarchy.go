@@ -3,7 +3,6 @@ package mem
 import (
 	"math/bits"
 
-	"repro/internal/attrib"
 	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/metrics"
@@ -173,13 +172,6 @@ func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 func (h *Hierarchy) SetMetrics(c *metrics.Collector) {
 	for i := range h.dunits {
 		h.dunits[i].SetMetrics(c)
-	}
-}
-
-// SetAttrib attaches an attribution collector to every data unit.
-func (h *Hierarchy) SetAttrib(a *attrib.Collector) {
-	for i := range h.dunits {
-		h.dunits[i].SetAttrib(a)
 	}
 }
 

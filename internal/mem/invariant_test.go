@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/attrib"
+	"repro/internal/metrics"
 )
 
 // driveRandom throws a random mix of correct/wrong loads and stores at a
@@ -25,7 +26,7 @@ func driveRandom(t *testing.T, cfg Config, seed int64, steps int) {
 		t.Fatal(err)
 	}
 	ac := attrib.NewCollector()
-	h.SetAttrib(ac)
+	h.SetMetrics(&metrics.Collector{Attrib: ac})
 	rng := rand.New(rand.NewSource(seed))
 	type pending struct {
 		req    *Request

@@ -3,21 +3,32 @@ package metrics
 import (
 	"encoding/json"
 	"io"
+
+	"repro/internal/attrib"
+	"repro/internal/trace"
 )
 
-// Collector bundles one simulation run's observability state: the counter
-// registry, the optional interval sampler, the four latency histograms,
-// and the optional Perfetto timeline. Attach one to sta.Machine.Metrics
-// before Run.
+// Collector is one simulation run's observer. Attach one to
+// sta.Machine.Obs before Run. Every part is optional: NewCollector builds
+// the registry, the histograms and (with an interval) the sampler; the
+// other sinks are set by hand. Without histograms (a literal carrying
+// only some sinks) the cores and data units skip per-access observation.
 //
-// Every hook method below tolerates a nil receiver, so instrumentation
-// sites can call them unconditionally; the hot paths in core/mem/sta still
-// guard with an explicit nil check to keep the uninstrumented cost to a
-// single untaken branch.
+// Every hook method below tolerates a nil receiver and nil parts; the hot
+// paths in core/mem/sta still guard with an explicit nil check to keep
+// the uninstrumented cost to a single untaken branch.
 type Collector struct {
 	Registry *Registry
-	Sampler  *Sampler  // nil: no interval series
-	Timeline *Timeline // nil: no timeline export
+	Sampler  *Sampler        // nil: no interval series
+	Timeline *trace.Timeline // nil: no timeline export
+	Events   trace.Tracer    // nil: lifecycle events go only to Timeline
+	// Attrib receives fill-provenance and pollution events from every
+	// data unit; its counters register in Registry and its instants go
+	// to Timeline. A sampled run sets it to nil when it starts:
+	// fast-forwarding skips fills the report accounts for.
+	Attrib *attrib.Collector
+	// Tap receives live progress from the run loop (see Publish).
+	Tap *ProgressTap
 
 	// MemLatency observes the cycle latency of every demand access
 	// (correct and wrong execution; prefetches excluded) from issue to
@@ -46,9 +57,8 @@ const MissSpanMin = 4
 // command-line tools export.
 const Interval = 10000
 
-// NewCollector builds a collector. interval > 0 attaches an interval
-// sampler; 0 disables the time series. A timeline is not attached by
-// default — set Timeline explicitly.
+// NewCollector builds a collector with a registry and histograms.
+// interval > 0 attaches an interval sampler; 0 disables the time series.
 func NewCollector(interval uint64) *Collector {
 	c := &Collector{
 		Registry:     NewRegistry(),
@@ -78,33 +88,17 @@ func (c *Collector) ObserveMemAccess(tu, pc int, start, done uint64, wrong bool)
 	}
 }
 
-// ObserveLoadUse records one load-to-consumer distance in instructions.
-func (c *Collector) ObserveLoadUse(dist uint64) {
+// Event implements trace.Tracer: one lifecycle event goes to Events and
+// to the Timeline.
+func (c *Collector) Event(e trace.Event) {
 	if c == nil {
 		return
 	}
-	c.LoadToUse.Observe(dist)
-}
-
-// ObserveWECPromotion records the residency, in cycles, of a side-buffer
-// block promoted to the L1 by a correct-path hit.
-func (c *Collector) ObserveWECPromotion(cycles uint64) {
-	if c == nil {
-		return
+	if c.Events != nil {
+		c.Events.Event(e)
 	}
-	c.WECPromotion.Observe(cycles)
-}
-
-// ObserveThreadLifetime records a speculative thread's lifetime from its
-// start to retirement (retired=true) or to its kill (retired=false).
-func (c *Collector) ObserveThreadLifetime(cycles uint64, retired bool) {
-	if c == nil {
-		return
-	}
-	if retired {
-		c.ThreadRetire.Observe(cycles)
-	} else {
-		c.ThreadKill.Observe(cycles)
+	if c.Timeline != nil {
+		c.Timeline.Event(e)
 	}
 }
 
@@ -127,7 +121,8 @@ func (c *Collector) FastForward(from, to uint64) {
 }
 
 // Finish seals the run at its final cycle: the sampler takes a last
-// partial sample and the timeline closes dangling spans.
+// partial sample, the timeline closes dangling spans and the attribution
+// collector counts its still-resident fills.
 func (c *Collector) Finish(cycle uint64) {
 	if c == nil {
 		return
@@ -138,6 +133,7 @@ func (c *Collector) Finish(cycle uint64) {
 	if c.Timeline != nil {
 		c.Timeline.Finish(cycle)
 	}
+	c.Attrib.Finish()
 }
 
 // export is the metrics JSON schema.

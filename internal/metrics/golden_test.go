@@ -7,13 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/trace"
 )
 
-// The golden files pin the export schemas: metrics JSON, interval-series
-// CSV, and the Perfetto/Chrome trace JSON. Regenerate after an intentional
-// schema change with:
+// The golden files pin the export schemas: metrics JSON and the
+// interval-series CSV (internal/trace pins the timeline's). Regenerate
+// after an intentional schema change with:
 //
 //	go test ./internal/metrics -run Golden -update
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -58,11 +56,11 @@ func goldenCollector() *Collector {
 	c.ObserveMemAccess(0, 40, 10, 11, false) // L1 hit: latency 1
 	c.ObserveMemAccess(0, 41, 20, 38, false) // L2 hit: latency 18
 	c.ObserveMemAccess(1, 42, 30, 150, true) // wrong-execution DRAM miss
-	c.ObserveLoadUse(2)
-	c.ObserveLoadUse(7)
-	c.ObserveWECPromotion(25)
-	c.ObserveThreadLifetime(900, true)
-	c.ObserveThreadLifetime(60, false)
+	c.LoadToUse.Observe(2)
+	c.LoadToUse.Observe(7)
+	c.WECPromotion.Observe(25)
+	c.ThreadRetire.Observe(900)
+	c.ThreadKill.Observe(60)
 
 	c.Finish(250)
 	return c
@@ -101,61 +99,4 @@ func TestGoldenMetricsJSON(t *testing.T) {
 
 func TestGoldenSeriesCSV(t *testing.T) {
 	checkGolden(t, "series.golden.csv", []byte(goldenCollector().SeriesCSV()))
-}
-
-func TestGoldenTimelineJSON(t *testing.T) {
-	tl := NewTimeline()
-	// A representative run: sequential prologue, a two-thread parallel
-	// region where the successor is marked wrong and killed, an abort back
-	// to sequential execution, and the halt.
-	for _, e := range []trace.Event{
-		{Cycle: 50, TU: 0, Kind: trace.Begin, Arg: 0b11},
-		{Cycle: 55, TU: 0, Kind: trace.Fork, Arg: 100},
-		{Cycle: 60, TU: 0, Kind: trace.Tsagd},
-		{Cycle: 63, TU: 1, Kind: trace.ThreadStart, Arg: 100},
-		{Cycle: 70, TU: 1, Kind: trace.Tsagd},
-		{Cycle: 120, TU: 0, Kind: trace.Abort, Arg: 200},
-		{Cycle: 120, TU: 1, Kind: trace.WrongMark},
-		{Cycle: 125, TU: 0, Kind: trace.WBDrain},
-		{Cycle: 140, TU: 0, Kind: trace.SeqResume, Arg: 200},
-		{Cycle: 180, TU: 1, Kind: trace.Kill},
-		{Cycle: 300, TU: 0, Kind: trace.Halt},
-	} {
-		tl.Event(e)
-	}
-	tl.MemSpan(0, 80, 98, false, 7)
-	tl.MemSpan(1, 130, 170, true, -1)
-
-	var buf bytes.Buffer
-	if err := tl.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The trace must be well-formed Chrome trace-event JSON.
-	var f struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Pid  *int   `json:"pid"`
-			Tid  *int   `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		t.Fatal("empty trace")
-	}
-	phs := map[string]bool{}
-	for _, e := range f.TraceEvents {
-		phs[e.Ph] = true
-		if e.Ph == "" || e.Pid == nil || e.Tid == nil {
-			t.Errorf("event %q missing ph/pid/tid", e.Name)
-		}
-	}
-	for _, ph := range []string{"M", "X", "i"} {
-		if !phs[ph] {
-			t.Errorf("no %q events in trace", ph)
-		}
-	}
-	checkGolden(t, "timeline.golden.json", buf.Bytes())
 }

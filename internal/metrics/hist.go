@@ -22,8 +22,12 @@ func NewHistogram(name, unit string) *Histogram {
 	return &Histogram{Name: name, Unit: unit}
 }
 
-// Observe records one value. O(1), allocation-free.
+// Observe records one value. O(1), allocation-free; a nil histogram
+// ignores it.
 func (h *Histogram) Observe(v uint64) {
+	if h == nil {
+		return
+	}
 	b := 0
 	if v > 1 {
 		b = bits.Len64(v - 1)

@@ -1,11 +1,13 @@
 // Package metrics is the simulator's observability layer: a registry of
 // named counters and gauges scoped per thread unit and per cache, an
 // interval sampler that turns cumulative counters into exportable time
-// series (CSV + JSON), log2-bucketed latency histograms, and a Chrome
-// trace-event / Perfetto timeline exporter that renders thread-pipelining
-// stages and cache-miss spans on a cycle timeline.
+// series (CSV + JSON), log2-bucketed latency histograms, and a live
+// progress tap that other goroutines read while a run is in flight.
 //
-// Everything hangs off a *Collector, attached to a machine before Run.
+// Everything hangs off a *Collector, the machine's one observer, attached
+// before Run. Besides its own parts it carries the run's other sinks: the
+// lifecycle-event stream and Perfetto timeline of internal/trace and the
+// fill-attribution collector of internal/attrib.
 // Every hook method is safe to call on a nil *Collector, so instrumented
 // code can call them unconditionally; the instrumentation sites in
 // internal/core, internal/mem, and internal/sta additionally guard with a
@@ -18,32 +20,10 @@ import (
 	"sync"
 )
 
-// Counter is a monotonically increasing metric owned by the registry.
-// It is not synchronized: each counter belongs to one simulation goroutine.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a point-in-time level owned by the registry.
-type Gauge struct{ v int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v }
-
-// Registry names every counter and gauge of one simulation run. Metrics
-// are scoped ("tu0", "l1d3", "l2", "machine") so exports group naturally.
-// Besides owned Counters/Gauges, existing simulator statistics register as
-// read functions snapshotted at export time.
+// Registry names every counter of one simulation run. Metrics are scoped
+// ("tu0", "l1d3", "l2", "machine") so exports group naturally. Each is a
+// simulator statistic registered as a read function and snapshotted at
+// export time.
 type Registry struct {
 	mu    sync.Mutex
 	order []string
@@ -55,7 +35,9 @@ func NewRegistry() *Registry {
 	return &Registry{read: make(map[string]func() uint64)}
 }
 
-func (r *Registry) register(scope, name string, fn func() uint64) {
+// RegisterFunc exposes an externally maintained statistic (for example a
+// field of mem.DUnit) under scope/name; fn is called at snapshot time.
+func (r *Registry) RegisterFunc(scope, name string, fn func() uint64) {
 	key := scope + "/" + name
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -63,26 +45,6 @@ func (r *Registry) register(scope, name string, fn func() uint64) {
 		r.order = append(r.order, key)
 	}
 	r.read[key] = fn
-}
-
-// Counter creates (and registers) an owned counter under scope/name.
-func (r *Registry) Counter(scope, name string) *Counter {
-	c := &Counter{}
-	r.register(scope, name, c.Value)
-	return c
-}
-
-// Gauge creates (and registers) an owned gauge under scope/name.
-func (r *Registry) Gauge(scope, name string) *Gauge {
-	g := &Gauge{}
-	r.register(scope, name, func() uint64 { return uint64(g.v) })
-	return g
-}
-
-// RegisterFunc exposes an externally maintained statistic (for example a
-// field of mem.DUnit) under scope/name; fn is called at snapshot time.
-func (r *Registry) RegisterFunc(scope, name string, fn func() uint64) {
-	r.register(scope, name, fn)
 }
 
 // Snapshot reads every registered metric, sorted by key for deterministic

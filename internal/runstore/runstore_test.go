@@ -12,6 +12,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/sta"
+	"repro/internal/stats"
 )
 
 // mkManifest builds a manifest for tests: a real config (so Infer and the
@@ -307,8 +308,8 @@ func TestCompareFlagsRegression(t *testing.T) {
 
 func TestBootstrapDeterministic(t *testing.T) {
 	xs := []float64{0.01, -0.02, 0.03, -0.04, 0.05}
-	lo1, hi1 := BootstrapCI(xs, 5000, 7, 0.95)
-	lo2, hi2 := BootstrapCI(xs, 5000, 7, 0.95)
+	lo1, hi1 := stats.BootstrapCI(xs, 5000, 7, 0.95)
+	lo2, hi2 := stats.BootstrapCI(xs, 5000, 7, 0.95)
 	if lo1 != lo2 || hi1 != hi2 {
 		t.Errorf("same seed produced different intervals: [%g,%g] vs [%g,%g]", lo1, hi1, lo2, hi2)
 	}

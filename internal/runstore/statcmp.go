@@ -95,7 +95,7 @@ func Compare(pairs [][2]*Manifest, met Metric, boot int, seed uint64, conf float
 		d.Benches = append(d.Benches, BenchDelta{Bench: p[0].Bench, A: a, B: b, Rel: rel})
 	}
 	d.Mean = mean(rels)
-	d.Lo, d.Hi = BootstrapCI(rels, boot, seed, conf)
+	d.Lo, d.Hi = stats.BootstrapCI(rels, boot, seed, conf)
 	return d
 }
 
@@ -108,14 +108,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// BootstrapCI returns the percentile bootstrap confidence interval of the
-// mean of xs. The implementation lives in the stats package so the
-// sampled-simulation estimator draws from the same deterministic stream;
-// this alias keeps runstore's historical API.
-func BootstrapCI(xs []float64, boot int, seed uint64, conf float64) (lo, hi float64) {
-	return stats.BootstrapCI(xs, boot, seed, conf)
 }
 
 // ParetoPoint is one configuration's position in the speedup-vs-cost

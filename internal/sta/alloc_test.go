@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/metrics"
 )
 
 // allocLoop is a long tight ALU loop: no memory traffic, no forks, so a
@@ -44,8 +45,7 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	}
 	// Mirror RunContext's setup, then warm up past cold-start growth
 	// (caches, queues, pools).
-	m.attachMetrics()
-	m.attachAttrib()
+	m.attach()
 	m.tus[0].startMain()
 	for i := 0; i < 20_000 && !m.halted; i++ {
 		m.step()
@@ -77,9 +77,8 @@ func TestStepSteadyStateZeroAllocsWithTap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Tap = &ProgressTap{}
-	m.attachMetrics()
-	m.attachAttrib()
+	m.Obs = &metrics.Collector{Tap: &metrics.ProgressTap{}}
+	m.attach()
 	m.tus[0].startMain()
 	for i := 0; i < 20_000 && !m.halted; i++ {
 		m.step()

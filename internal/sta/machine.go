@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"repro/internal/asm"
-	"repro/internal/attrib"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/interp"
@@ -117,24 +116,14 @@ type Result struct {
 
 // Machine is one superthreaded processor executing one program.
 type Machine struct {
-	// Trace, when non-nil, receives thread-lifecycle events.
-	Trace trace.Tracer
-
-	// Metrics, when non-nil, receives cycle-level observability data:
-	// counters, interval series, latency histograms, and (when its
-	// Timeline is set) a Perfetto-loadable cycle timeline. Attach before
-	// Run; a nil collector costs nothing on the simulation's hot paths.
-	Metrics *metrics.Collector
-
-	// Attrib, when non-nil, receives fill-provenance and pollution events
-	// from every data unit: the prefetch-effectiveness attribution layer.
-	// Attach before Run; read results with Attrib.Report after. When
-	// Metrics is also attached, the attribution counters register in its
-	// registry and pollution/promotion instants go to its timeline. A
-	// sampled run (Sample enabled) sets Attrib to nil when it starts:
-	// fast-forwarding skips fills the report accounts for, so the report
-	// could not reconcile.
-	Attrib *attrib.Collector
+	// Obs, when non-nil, observes the run: counters, interval series,
+	// latency histograms, the lifecycle-event stream and timeline,
+	// fill attribution and live progress, each as far as the collector
+	// carries it (see metrics.Collector). Attach before Run; a nil
+	// collector costs one untaken nil check at each hook site. A sampled
+	// run (Sample enabled) sets Obs.Attrib to nil when it starts:
+	// fast-forwarding skips fills the attribution report accounts for.
+	Obs *metrics.Collector
 
 	// DisableSkip forces the machine to step every thread unit every
 	// cycle, instead of fast-forwarding over provably idle spans and
@@ -148,14 +137,6 @@ type Machine struct {
 	// points. Attach before Run; a nil injector costs one untaken nil
 	// check per cycle and leaves results bit-identical.
 	Chaos *chaos.Injector
-
-	// Tap, when non-nil, receives live progress publications from the run
-	// loop: lock-free cycle/commit counters, a throttled sample ring, and
-	// a bridged metrics snapshot, all safe to read from other goroutines
-	// while the run is in flight (heartbeats, the telemetry HTTP server,
-	// the flight recorder). Attach before Run; a nil tap costs one untaken
-	// nil check per run-loop iteration.
-	Tap *ProgressTap
 
 	// Deprecated: DisableParallel does nothing; stepping is always
 	// sequential. The field remains only so existing callers compile, and
@@ -286,8 +267,7 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 		// flight recorder most of all — see the terminal state.
 		m.publishProgress(true)
 	}()
-	m.attachMetrics()
-	m.attachAttrib()
+	m.attach()
 	m.attachChaos()
 	if m.Sample.Enabled() {
 		m.initSample()
@@ -316,7 +296,7 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 			return nil, m.stallError(simerr.Runaway,
 				fmt.Errorf("exceeded %d cycles without halting", m.cfg.MaxCycles))
 		}
-		if m.Tap != nil && iter&1023 == 0 {
+		if m.Obs != nil && iter&1023 == 0 {
 			m.publishProgress(false)
 		}
 		if done != nil && iter&1023 == 0 {
@@ -341,8 +321,7 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 	}
 	// Drain: let outstanding wrong threads disappear with the machine; the
 	// program result is already architectural.
-	m.Metrics.Finish(m.cycle)
-	m.Attrib.Finish()
+	m.Obs.Finish(m.cycle)
 	return m.result(), nil
 }
 
@@ -355,7 +334,7 @@ func (m *Machine) stallError(kind simerr.Kind, cause error) *simerr.Error {
 }
 
 // attachChaos wires the fault injector into the cores and the memory
-// hierarchy; called once at the top of Run, like attachMetrics.
+// hierarchy; called once at the top of Run, like attach.
 func (m *Machine) attachChaos() {
 	if m.Chaos == nil {
 		return
@@ -421,8 +400,8 @@ func (m *Machine) endCycle() {
 		m.parCycles++
 	}
 	m.cycle++
-	if m.Metrics != nil {
-		m.Metrics.MaybeSample(m.cycle)
+	if m.Obs != nil {
+		m.Obs.MaybeSample(m.cycle)
 	}
 }
 
@@ -457,8 +436,8 @@ func (m *Machine) skipIdle(wdDeadline uint64) {
 		m.parCycles += wake - from
 	}
 	m.cycle = wake
-	if m.Metrics != nil {
-		m.Metrics.FastForward(from, wake)
+	if m.Obs != nil {
+		m.Obs.FastForward(from, wake)
 	}
 }
 
@@ -565,10 +544,10 @@ func (m *Machine) startThread(pf *pendingFork, tu *threadUnit) {
 	m.emit(tu.id, trace.ThreadStart, int64(pf.target))
 }
 
-// emit sends a trace event if a tracer is attached.
+// emit sends a lifecycle event to the observer, if one is attached.
 func (m *Machine) emit(tuID int, kind trace.Kind, arg int64) {
-	if m.Trace != nil {
-		m.Trace.Event(trace.Event{Cycle: m.cycle, TU: tuID, Kind: kind, Arg: arg})
+	if m.Obs != nil {
+		m.Obs.Event(trace.Event{Cycle: m.cycle, TU: tuID, Kind: kind, Arg: arg})
 	}
 }
 

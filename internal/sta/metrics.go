@@ -1,57 +1,36 @@
-// Metrics wiring: when a metrics.Collector is attached to a Machine, this
+// Observer wiring: when a metrics.Collector is attached to a Machine, this
 // file connects every instrumentation point before the run starts — the
-// cores' load-to-use probes, the data units' latency probes, the counter
-// registry (scoped per thread unit, per cache, and machine-wide), the
-// interval sampler's derived series, and the timeline tracer.
+// cores' load-to-use probes, the data units' latency and attribution
+// probes, the counter registry (scoped per thread unit, per cache, and
+// machine-wide), the interval sampler's derived series — and publishes
+// live progress into its tap.
 package sta
 
 import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
-// attachAttrib wires the attribution collector into every data unit and,
-// when a metrics collector is also attached, into its counter registry and
-// timeline. A sampled run drops it instead (see Machine.Attrib). Called
-// once at the top of Run, after attachMetrics.
-func (m *Machine) attachAttrib() {
-	if m.Sample.Enabled() {
-		m.Attrib = nil
-	}
-	a := m.Attrib
-	if a == nil {
-		return
-	}
-	m.hier.SetAttrib(a)
-	if c := m.Metrics; c != nil {
-		a.RegisterInto(c.Registry)
-		if a.Timeline == nil {
-			a.Timeline = c.Timeline
-		}
-	}
-}
-
-// attachMetrics wires the collector into the machine; called once at the
-// top of Run. With a nil collector the machine runs uninstrumented: every
-// hook site below reduces to an untaken nil check.
-func (m *Machine) attachMetrics() {
-	c := m.Metrics
+// attach wires the observer into the machine; called once at the top of
+// Run. With a nil collector the machine runs uninstrumented: every hook
+// site reduces to an untaken nil check. A sampled run drops the
+// attribution collector here (see Machine.Obs).
+func (m *Machine) attach() {
+	c := m.Obs
 	if c == nil {
 		return
+	}
+	if m.Sample.Enabled() {
+		c.Attrib = nil
+	}
+	if c.Attrib != nil {
+		c.Attrib.Timeline = c.Timeline
 	}
 	for i := range m.tus {
 		m.tus[i].core.SetMetrics(c)
 	}
 	m.hier.SetMetrics(c)
-	if c.Timeline != nil {
-		if m.Trace != nil {
-			m.Trace = trace.Multi{m.Trace, c.Timeline}
-		} else {
-			m.Trace = c.Timeline
-		}
-	}
 	if c.Registry != nil {
 		m.registerCounters()
 	}
@@ -60,11 +39,30 @@ func (m *Machine) attachMetrics() {
 	}
 }
 
+// publishProgress pushes the machine's progress into the observer's tap.
+// Called from the run loop every 1024 iterations (and from the failure
+// paths with force=true so the flight recorder sees the dying state).
+// Only the simulation goroutine touches simulator state, so the reads
+// below are race-free.
+func (m *Machine) publishProgress(force bool) {
+	if m.Obs == nil || m.Obs.Tap == nil {
+		return
+	}
+	var per [63]uint64 // NumTUs <= 63 (Config.Validate)
+	var commits uint64
+	for i := range m.tus {
+		per[i] = m.tus[i].core.Stats.Commits
+		commits += per[i]
+	}
+	m.Obs.Publish(m.cycle, commits, per[:len(m.tus)], force)
+}
+
 // registerCounters exposes every simulator statistic in the registry,
-// scoped "tuN" (core counters), "l1dN" (data unit counters), "l2", and
-// "machine". Values are read at export time.
+// scoped "tuN" (core counters), "l1dN" (data unit counters), "l2",
+// "machine" and, with attribution attached, "attrib". Values are read at
+// export time.
 func (m *Machine) registerCounters() {
-	reg := m.Metrics.Registry
+	reg := m.Obs.Registry
 	for i := range m.tus {
 		tu := &m.tus[i]
 		cs := &tu.core.Stats
@@ -101,13 +99,14 @@ func (m *Machine) registerCounters() {
 	reg.RegisterFunc("machine", "aborts", func() uint64 { return m.aborts })
 	reg.RegisterFunc("machine", "wrong_threads", func() uint64 { return m.wrongThreads })
 	reg.RegisterFunc("machine", "membuf_overflows", func() uint64 { return m.mbOverflows })
+	m.Obs.Attrib.RegisterInto(reg)
 }
 
 // registerSeries defines the interval time series: rates from cumulative
 // counters, occupancies as levels. Probes run on the simulation goroutine
 // at interval boundaries only.
 func (m *Machine) registerSeries() {
-	s := m.Metrics.Sampler
+	s := m.Obs.Sampler
 	sumTU := func(f func(tu *threadUnit) uint64) func() float64 {
 		return func() float64 {
 			var n uint64

@@ -59,9 +59,9 @@ func pinCases() []pinCase {
 		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 446, nil},
 		{"gzip/orig/1tu", "gzip", config.Orig, 1, nil, 61747, 154, nil},
 		{"mcf/wth-wp-wec/8tu+metrics", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Metrics = metrics.NewCollector(10000) }, 148836, 963, nil},
+			func(m *sta.Machine) { m.Obs = metrics.NewCollector(10000) }, 148836, 963, nil},
 		{"mcf/wth-wp-wec/8tu+tap", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Tap = &sta.ProgressTap{} }, 148836, 487, nil},
+			func(m *sta.Machine) { m.Obs = &metrics.Collector{Tap: &metrics.ProgressTap{}} }, 148836, 487, nil},
 		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 876, nil},
 		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 1578, nil},
 		{"mcf/wth-wp-wec/8tu+sampled", "mcf", config.WTHWPWEC, 8, sampled(0), 18546, 376, &stats.Sampled{

@@ -157,8 +157,8 @@ func (m *Machine) drainHier() {
 		if wake > m.cycle {
 			from := m.cycle
 			m.cycle = wake
-			if m.Metrics != nil {
-				m.Metrics.FastForward(from, wake)
+			if m.Obs != nil {
+				m.Obs.FastForward(from, wake)
 			}
 		}
 		m.hier.BeginCycle(m.cycle)

@@ -93,9 +93,9 @@ func runObserved(t testing.TB, cfg Config, prog *isa.Program, skip, observe bool
 	var ac *attrib.Collector
 	if observe {
 		col = metrics.NewCollector(500)
-		m.Metrics = col
 		ac = attrib.NewCollector()
-		m.Attrib = ac
+		col.Attrib = ac
+		m.Obs = col
 	}
 	r, err := m.Run()
 	if err != nil {

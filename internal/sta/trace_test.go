@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -17,7 +18,7 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec trace.Recorder
-	m.Trace = &rec
+	m.Obs = &metrics.Collector{Events: &rec}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTraceWrongThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec trace.Recorder
-	m.Trace = &rec
+	m.Obs = &metrics.Collector{Events: &rec}
 	r, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

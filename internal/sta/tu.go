@@ -141,8 +141,8 @@ func (tu *threadUnit) drainWB(cycle uint64) {
 // aborting thread's write-back.
 func (tu *threadUnit) finishWB(cycle uint64) {
 	tu.mbStats()
-	if tu.m.Metrics != nil {
-		tu.m.Metrics.ObserveThreadLifetime(cycle-tu.startedAt, true)
+	if tu.m.Obs != nil {
+		tu.m.Obs.ThreadRetire.Observe(cycle - tu.startedAt)
 	}
 	// This thread's target stores are now in memory: drop them from live
 	// successors' buffers so buffer occupancy stays bounded by the live
@@ -190,8 +190,8 @@ func (tu *threadUnit) detach() {
 func (tu *threadUnit) kill() {
 	tu.m.emit(tu.id, trace.Kill, 0)
 	tu.mbStats()
-	if tu.m.Metrics != nil {
-		tu.m.Metrics.ObserveThreadLifetime(tu.m.cycle-tu.startedAt, false)
+	if tu.m.Obs != nil {
+		tu.m.Obs.ThreadKill.Observe(tu.m.cycle - tu.startedAt)
 	}
 	tu.core.Kill()
 	tu.memBuf.reset()

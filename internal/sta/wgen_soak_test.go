@@ -8,6 +8,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/wgen"
 )
 
@@ -111,7 +112,7 @@ func attribReport(t *testing.T, cfg Config, p *isa.Program, skip bool) *attrib.R
 	}
 	m.DisableSkip = !skip
 	ac := attrib.NewCollector()
-	m.Attrib = ac
+	m.Obs = &metrics.Collector{Attrib: ac}
 	r, err := m.Run()
 	if err != nil {
 		t.Fatalf("skip=%v: %v", skip, err)

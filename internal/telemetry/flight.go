@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runstore"
 	"repro/internal/simerr"
-	"repro/internal/sta"
 )
 
 // DefaultFlightSpans bounds the flight recorder's span ring: enough recent
@@ -80,19 +79,19 @@ func (f *Recorder) Dropped() uint64 {
 // run's recent span history, and the failing cell's progress samples plus
 // bridged counters.
 type FlightDump struct {
-	Run     string               `json:"run"`
-	Wrote   time.Time            `json:"wrote"`
-	Span    uint64               `json:"span"`
-	Bench   string               `json:"bench,omitempty"`
-	Config  string               `json:"config,omitempty"`
-	Seed    uint64               `json:"seed,omitempty"`
-	Kind    string               `json:"kind"`
-	Error   string               `json:"error"`
-	Cycle   uint64               `json:"cycle,omitempty"`
-	TUs     []simerr.TUState     `json:"tus,omitempty"`
-	Stack   string               `json:"stack,omitempty"`
-	Spans   []Span               `json:"spans"`
-	Samples []sta.ProgressSample `json:"progress,omitempty"`
+	Run     string                   `json:"run"`
+	Wrote   time.Time                `json:"wrote"`
+	Span    uint64                   `json:"span"`
+	Bench   string                   `json:"bench,omitempty"`
+	Config  string                   `json:"config,omitempty"`
+	Seed    uint64                   `json:"seed,omitempty"`
+	Kind    string                   `json:"kind"`
+	Error   string                   `json:"error"`
+	Cycle   uint64                   `json:"cycle,omitempty"`
+	TUs     []simerr.TUState         `json:"tus,omitempty"`
+	Stack   string                   `json:"stack,omitempty"`
+	Spans   []Span                   `json:"spans"`
+	Samples []metrics.ProgressSample `json:"progress,omitempty"`
 	// Counters is the failing cell's last bridged metrics-registry
 	// snapshot (empty when the cell ran without a collector).
 	Counters map[string]uint64 `json:"counters,omitempty"`
@@ -123,11 +122,9 @@ func (r *Run) BuildFlightDump(c *Cell, cause error) *FlightDump {
 		d.TUs = se.TUs
 		d.Stack = string(se.Stack)
 	}
-	if c.Tap != nil {
-		d.Samples = c.Tap.Samples()
-		if kvs := c.Tap.Counters(); len(kvs) > 0 {
-			d.Counters = kvMap(kvs)
-		}
+	d.Samples = c.Tap.Samples()
+	if kvs := c.Tap.Counters(); len(kvs) > 0 {
+		d.Counters = kvMap(kvs)
 	}
 	return d
 }

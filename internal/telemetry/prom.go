@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Prometheus text exposition (version 0.0.4) written by hand: the repo
@@ -125,20 +127,24 @@ func (r *Run) WriteProm(w io.Writer) error {
 		p.value("sta_suite_ledger_lag_seconds", nil, time.Since(lastLedger).Seconds())
 	}
 
+	// Per-cell gauges, family by family: the text format wants each
+	// metric's samples in one group.
 	cells := r.liveCells()
-	for _, c := range cells {
-		label := [][2]string{
-			{"bench", c.Span.Bench},
-			{"config", c.Span.Config},
-			{"span", fmt.Sprintf("%d", c.Span.ID)},
+	for _, g := range []struct {
+		name, help string
+		value      func(t *metrics.ProgressTap) float64
+	}{
+		{"sta_cell_cycle", "Current simulated cycle of an in-flight cell.",
+			func(t *metrics.ProgressTap) float64 { cycle, _ := t.Latest(); return float64(cycle) }},
+		{"sta_cell_commits", "Committed instructions of an in-flight cell.",
+			func(t *metrics.ProgressTap) float64 { _, commits := t.Latest(); return float64(commits) }},
+		{"sta_cell_cycles_per_second", "Per-cell simulation speed (cycles per wall second).",
+			(*metrics.ProgressTap).Rate},
+	} {
+		for _, c := range cells {
+			p.header(g.name, g.help, "gauge")
+			p.value(g.name, cellLabel(c), g.value(c.Tap))
 		}
-		cycle, commits := c.Tap.Latest()
-		p.header("sta_cell_cycle", "Current simulated cycle of an in-flight cell.", "gauge")
-		p.value("sta_cell_cycle", label, float64(cycle))
-		p.header("sta_cell_commits", "Committed instructions of an in-flight cell.", "gauge")
-		p.value("sta_cell_commits", label, float64(commits))
-		p.header("sta_cell_cycles_per_second", "Per-cell simulation speed (cycles per wall second).", "gauge")
-		p.value("sta_cell_cycles_per_second", label, c.Tap.Rate())
 	}
 	// Bridged per-cycle metrics registries, one metric per scope/name key.
 	// Keys are stable across cells, so collect first and emit grouped by
@@ -156,14 +162,9 @@ func (r *Run) WriteProm(w io.Writer) error {
 				scope, name = kv.Key[:i], kv.Key[i+1:]
 			}
 			all = append(all, bridged{
-				name: "sta_sim_" + promSanitize(name),
-				label: [][2]string{
-					{"bench", c.Span.Bench},
-					{"config", c.Span.Config},
-					{"span", fmt.Sprintf("%d", c.Span.ID)},
-					{"scope", scope},
-				},
-				v: float64(kv.Value),
+				name:  "sta_sim_" + promSanitize(name),
+				label: append(cellLabel(c), [2]string{"scope", scope}),
+				v:     float64(kv.Value),
 			})
 		}
 	}
@@ -173,4 +174,13 @@ func (r *Run) WriteProm(w io.Writer) error {
 		p.value(b.name, b.label, b.v)
 	}
 	return p.err
+}
+
+// cellLabel identifies an in-flight cell's samples.
+func cellLabel(c *Cell) [][2]string {
+	return [][2]string{
+		{"bench", c.Span.Bench},
+		{"config", c.Span.Config},
+		{"span", fmt.Sprintf("%d", c.Span.ID)},
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/simerr"
+	"repro/internal/trace"
 )
 
 // Span is one traced unit of suite work: a whole suite, one cell, one
@@ -120,7 +120,7 @@ func OutcomeOf(err error) string {
 // Conversion stops at the first malformed record, such as the torn tail
 // of a killed run. Run.Close is its caller: it renders the closing run's
 // spans, so a killed run's spans stay in the journal unrendered. The
-// events are internal/metrics' trace-event types.
+// events are internal/trace's trace-event types.
 func ConvertSpans(in io.Reader, out io.Writer, run string) error {
 	dec := json.NewDecoder(in)
 	var spans []Span
@@ -156,7 +156,7 @@ func ConvertSpans(in io.Reader, out io.Writer, run string) error {
 			return int(s.ID)
 		}
 	}
-	events := []metrics.TraceEvent{{
+	events := []trace.TraceEvent{{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "suite telemetry (run " + spans[0].Run + ")"},
 	}}
@@ -177,12 +177,12 @@ func ConvertSpans(in io.Reader, out io.Writer, run string) error {
 		if s.Err != "" {
 			args["err"] = s.Err
 		}
-		events = append(events, metrics.TraceEvent{
+		events = append(events, trace.TraceEvent{
 			Name: s.Name, Ph: "X", Pid: 1, Tid: track(s), Cat: s.Kind,
 			Ts:   uint64(s.Start.Sub(epoch).Microseconds()),
 			Dur:  uint64(max(1, s.End_.Sub(s.Start).Microseconds())),
 			Args: args,
 		})
 	}
-	return json.NewEncoder(out).Encode(metrics.TraceFile{DisplayTimeUnit: "ms", TraceEvents: events})
+	return json.NewEncoder(out).Encode(trace.TraceFile{DisplayTimeUnit: "ms", TraceEvents: events})
 }

@@ -10,7 +10,7 @@
 //     the simerr taxonomy); completed spans stream to spans.jsonl and, on
 //     Close, the run's spans are rendered as a Chrome trace-event/Perfetto
 //     timeline (spans.trace.json) that loads beside the cycle-level
-//     timeline from internal/metrics.
+//     timeline from internal/trace.
 //   - an HTTP introspection server (opt-in): /metrics in Prometheus text
 //     format (suite gauges plus each live cell's bridged metrics
 //     registry), /runs as live JSON of in-flight spans, /healthz, and the
@@ -22,9 +22,10 @@
 //   - structured logging: a slog.Logger with the run ID attached, threaded
 //     through the harness, supervision, ledger, and chaos paths.
 //
-// The simulator itself never imports this package; it publishes through
-// sta.ProgressTap, which costs one untaken nil check per run-loop
-// iteration when detached. Everything here is safe for concurrent use: the
+// The simulator never imports this package; it publishes through the
+// metrics.ProgressTap its collector carries (a Cell's Tap), which costs
+// one untaken nil check per run-loop iteration when detached. Everything
+// here is safe for concurrent use: the
 // publishing side is the harness worker pool, the reading side the HTTP
 // server.
 package telemetry
@@ -36,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -44,8 +46,8 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/simerr"
-	"repro/internal/sta"
 )
 
 // Config configures a telemetry Run.
@@ -93,7 +95,8 @@ type Run struct {
 	ledgerAppends uint64
 	lastLedger    time.Time
 
-	spans *journal.Journal // spans.jsonl; nil without a Dir
+	spans     *journal.Journal // spans.jsonl; nil without a Dir
+	spansFrom int64            // journal size at Start: this run's spans follow
 
 	server *httpServer
 
@@ -135,11 +138,15 @@ func Start(cfg Config) (*Run, error) {
 		// later span glued onto it. The journal cuts from the first line
 		// that is not valid JSON, so this run's spans start on a line of
 		// their own.
-		j, err := journal.Open(filepath.Join(cfg.Dir, "spans.jsonl"), journal.Format{Entry: json.Valid})
+		path := filepath.Join(cfg.Dir, "spans.jsonl")
+		j, err := journal.Open(path, journal.Format{Entry: json.Valid})
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
 		r.spans = j
+		if fi, err := os.Stat(path); err == nil {
+			r.spansFrom = fi.Size() // else Close reads the whole journal
+		}
 	}
 	if cfg.Addr != "" {
 		srv, err := newHTTPServer(r, cfg.Addr)
@@ -200,17 +207,22 @@ func (r *Run) Close() error {
 	return err
 }
 
-// renderSpans converts this run's spans in the closed journal to
-// spans.trace.json, which loads in the same UI as a simulation's
-// cycle-level timeline; earlier runs in the directory are left out. A run
-// with no spans renders nothing.
+// renderSpans converts the spans this run appended to the closed journal
+// (the bytes after spansFrom, so a reused directory's history is neither
+// read nor able to stop the conversion) to spans.trace.json, which loads
+// in the same UI as a simulation's cycle-level timeline. A run with no
+// spans renders nothing.
 func (r *Run) renderSpans() error {
-	raw, err := os.ReadFile(filepath.Join(r.cfg.Dir, "spans.jsonl"))
+	f, err := os.Open(filepath.Join(r.cfg.Dir, "spans.jsonl"))
 	if err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
+	defer f.Close()
+	if _, err := f.Seek(r.spansFrom, io.SeekStart); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
 	var out bytes.Buffer
-	if ConvertSpans(bytes.NewReader(raw), &out, r.ID) != nil {
+	if ConvertSpans(f, &out, r.ID) != nil {
 		return nil
 	}
 	if err := os.WriteFile(filepath.Join(r.cfg.Dir, "spans.trace.json"), out.Bytes(), 0o644); err != nil {
@@ -287,10 +299,10 @@ func (r *Run) Counts() (done, failed uint64) {
 // progress tap the machine publishes into.
 type Cell struct {
 	Span *Span
-	// Tap is attached to the machine (sta.Machine.Tap) before Run so the
+	// Tap becomes the machine's collector's Tap before Run so the
 	// telemetry layer sees live cycle/commit progress and, on failure, the
 	// recent progress-sample ring.
-	Tap *sta.ProgressTap
+	Tap *metrics.ProgressTap
 
 	run *Run
 }
@@ -303,7 +315,7 @@ func (r *Run) StartCell(bench, config string, seed uint64) *Cell {
 	s.Bench = bench
 	s.Config = config
 	s.Seed = seed
-	c := &Cell{Span: s, Tap: &sta.ProgressTap{}, run: r}
+	c := &Cell{Span: s, Tap: &metrics.ProgressTap{}, run: r}
 	r.mu.Lock()
 	r.cells[s.ID] = c
 	r.mu.Unlock()

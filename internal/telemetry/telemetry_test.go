@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simerr"
 )
 
@@ -242,6 +243,70 @@ func TestSpanLogTornTailNextRun(t *testing.T) {
 				t.Fatalf("spans.trace.json does not hold exactly the second run's cell:\n%s", rendered)
 			}
 		})
+	}
+}
+
+// TestCloseRendersOnlyItsOwnSpans: a reused directory's journal keeps
+// every earlier run, including a line an older schema wrote that is valid
+// JSON but no Span. Close renders from the offset its run started at, so
+// neither the history nor that line stops it.
+func TestCloseRendersOnlyItsOwnSpans(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "spans.jsonl"), []byte(`{"id":"old-schema"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first := quietRun(t, Config{Dir: dir})
+	first.StartCell("gzip", "cfg-00000001", 0).Done(10)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second := quietRun(t, Config{Dir: dir})
+	second.StartCell("mcf", "cfg-00000002", 0).Done(20)
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := os.ReadFile(filepath.Join(dir, "spans.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(rendered) || !bytes.Contains(rendered, []byte("mcf/")) || bytes.Contains(rendered, []byte("gzip/")) {
+		t.Fatalf("spans.trace.json does not hold exactly the second run's cell:\n%s", rendered)
+	}
+}
+
+// TestPromGroupsFamilies: with two cells in flight, every metric family's
+// samples form one contiguous group, as the text format requires.
+func TestPromGroupsFamilies(t *testing.T) {
+	r := quietRun(t, Config{})
+	for i, bench := range []string{"mcf", "vpr"} {
+		c := r.StartCell(bench, "cfg-77778888", 0)
+		reg := metrics.NewRegistry()
+		reg.RegisterFunc("tu0", "commits", func() uint64 { return 5 })
+		reg.RegisterFunc("l1d0", "misses", func() uint64 { return 2 })
+		col := &metrics.Collector{Registry: reg, Tap: c.Tap}
+		col.Publish(uint64(100*(i+1)), 5, []uint64{5}, true)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	last := ""
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if name != last && seen[name] > 0 {
+			t.Fatalf("family %s reappears after %s:\n%s", name, last, buf.String())
+		}
+		seen[name]++
+		last = name
+	}
+	for _, name := range []string{"sta_cell_cycle", "sta_cell_commits", "sta_cell_cycles_per_second", "sta_sim_commits", "sta_sim_misses"} {
+		if seen[name] != 2 {
+			t.Errorf("%s has %d samples, want one per cell", name, seen[name])
+		}
 	}
 }
 

@@ -1,7 +1,11 @@
 // Package trace records thread-lifecycle events from the superthreaded
 // machine: forks, thread starts, aborts, wrong-thread markings, write-back
-// stages, and region boundaries. Attach a Recorder for programmatic
-// inspection (tests, tools) or a Writer to stream a human-readable log.
+// stages, and region boundaries. A Recorder keeps them for programmatic
+// inspection (tests, tools) and a Writer streams a human-readable log;
+// either is a metrics.Collector's Events sink. Timeline renders the same
+// events, plus memory and attribution instants, as a Chrome trace-event
+// (Perfetto) file, and TraceEvent/TraceFile are that format's types, which
+// telemetry's span rendering shares.
 package trace
 
 import (
@@ -122,14 +126,4 @@ type Writer struct {
 // Event implements Tracer.
 func (w Writer) Event(e Event) {
 	fmt.Fprintln(w.W, e.String())
-}
-
-// Multi fans an event out to several tracers.
-type Multi []Tracer
-
-// Event implements Tracer.
-func (m Multi) Event(e Event) {
-	for _, t := range m {
-		t.Event(e)
-	}
 }

@@ -54,12 +54,3 @@ func TestWriter(t *testing.T) {
 		t.Errorf("writer output %q", out)
 	}
 }
-
-func TestMulti(t *testing.T) {
-	var a, b Recorder
-	m := Multi{&a, &b}
-	m.Event(Event{Kind: Begin})
-	if a.Count(Begin) != 1 || b.Count(Begin) != 1 {
-		t.Error("Multi did not fan out")
-	}
-}

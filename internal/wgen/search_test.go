@@ -7,6 +7,7 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sta"
 	"repro/internal/stats"
 	"repro/internal/wgen"
@@ -28,7 +29,7 @@ func simRunner(t testing.TB) wgen.RunFunc {
 			return nil, nil, err
 		}
 		ac := attrib.NewCollector()
-		m.Attrib = ac
+		m.Obs = &metrics.Collector{Attrib: ac}
 		r, err := m.Run()
 		if err != nil {
 			return nil, nil, err

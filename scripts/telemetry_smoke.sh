@@ -36,8 +36,9 @@ curl -sf "http://$addr/metrics" > "$out/metrics.prom"
 curl -sf "http://$addr/runs"    > "$out/runs.json"
 
 # Prometheus exposition well-formedness: every non-comment line is
-# `name{labels} value`, and every sample's name has HELP and TYPE headers
-# somewhere before it.
+# `name{labels} value`, every sample's name has HELP and TYPE headers
+# somewhere before it, and each family's samples form one group (a family
+# never reappears once another has started).
 awk '
   /^# HELP / { help[$3] = 1; next }
   /^# TYPE / { if (!help[$3]) { print "TYPE before HELP: " $0; exit 1 }
@@ -49,6 +50,8 @@ awk '
     }
     name = $0; sub(/[{ ].*/, "", name)
     if (!help[name] || !type[name]) { print "unheaded sample: " $0; exit 1 }
+    if (name != last && done[name]) { print "family split: " $0; exit 1 }
+    if (name != last) { done[last] = 1; last = name }
   }
 ' "$out/metrics.prom"
 grep -q '^sta_suite_info{run="' "$out/metrics.prom"
