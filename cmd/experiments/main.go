@@ -9,7 +9,7 @@
 // Observability (see README "Observability" and "Live telemetry"): -out
 // collects every artifact of the sweep in one directory — per-cell metrics
 // and attribution JSON, the span journal and its Perfetto rendering,
-// flight-recorder dumps and CPU/heap profiles of the instrumented sweep
+// flight dumps and CPU/heap profiles of the instrumented sweep
 // (with -telemetry-addr, /debug/pprof/profile owns CPU profiling and no
 // cpu.pprof is written):
 //
@@ -103,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		chaosCore     = fs.Float64("chaos-core-panic", 0, "per-step core panic probability")
 		chaosLivelock = fs.Float64("chaos-livelock", 0, "per-cycle livelock probability (trips the watchdog)")
 		chaosSlow     = fs.Float64("chaos-slow", 0, "per-cycle slow-cycle probability (trips -timeout)")
-		chaosLedger   = fs.Float64("chaos-ledger-fail", 0, "per-append transient ledger write-failure probability")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -196,9 +195,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		r.Archive = st
 		r.ArchiveTool = "experiments"
 		r.ArchiveRev = runstore.GitRev()
-		if tr != nil {
-			tr.SetArchive(st.Root())
-		}
 		if *resume {
 			archived := harness.ArchivedResults(st, *scale)
 			r.Prefill(archived)
@@ -213,13 +209,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return fail(stderr, err)
 		}
 		defer led.Close()
-		if *chaosLedger > 0 {
-			led.SetChaos(chaos.New(chaos.Config{Seed: *chaosSeed, LedgerFail: *chaosLedger}, "ledger"))
-		}
 		r.Ledger = led
-		if tr != nil {
-			tr.SetLedger(led.Path())
-		}
 		if *resume {
 			r.Prefill(prior)
 			if *verbose {

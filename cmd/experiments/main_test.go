@@ -33,7 +33,7 @@ func flagNames(t *testing.T, run func(args []string, stdout, stderr io.Writer) i
 // edit of this list.
 func TestFlags(t *testing.T) {
 	want := []string{
-		"archive", "chaos-core-panic", "chaos-ledger-fail", "chaos-livelock",
+		"archive", "chaos-core-panic", "chaos-livelock",
 		"chaos-panic", "chaos-seed", "chaos-slow", "format", "ledger", "list",
 		"out", "resume", "run", "sample-measure", "sample-period",
 		"sample-seed", "sample-warmup", "scale", "telemetry-addr", "timeout",
@@ -108,7 +108,7 @@ func TestOutWritesEveryArtifact(t *testing.T) {
 }
 
 // TestFailedCellsDumpFlight: with every cell panicking, the sweep exits 1
-// and each failed cell leaves a flight-recorder dump under -out.
+// and each failed cell leaves a flight dump under -out.
 func TestFailedCellsDumpFlight(t *testing.T) {
 	out := t.TempDir()
 	var stdout, stderr bytes.Buffer

@@ -227,7 +227,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				code = fail(err)
 			}
 		}()
-		cell = tr.StartCell(*bench, *cfgName, 0)
 	}
 	var col *metrics.Collector
 	var ev *os.File
@@ -248,15 +247,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		col.Events = trace.Writer{W: events}
 		col.Attrib = attrib.NewCollector() // a sampled run drops it
 	}
-	if cell != nil || *progress {
+	if tr != nil || *progress {
 		if col == nil {
 			col = &metrics.Collector{}
 		}
-		if cell != nil {
-			col.Tap = cell.Tap
-		} else {
-			col.Tap = &metrics.ProgressTap{}
-		}
+		col.Tap = &metrics.ProgressTap{}
+	}
+	if tr != nil {
+		cell = tr.StartCell(*bench, *cfgName, 0, col)
 	}
 	m.Obs = col
 	if *progress {

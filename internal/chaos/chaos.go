@@ -1,9 +1,9 @@
 // Package chaos is a deterministic, seeded fault injector for the run
 // supervision layer. Tests (and the CI chaos suite) attach an Injector to
 // the simulator's probability points — panics in the sta and core step
-// loops, artificial livelocks, slow cycles in the memory hierarchy, and
-// transient write failures in the results ledger — to prove the supervisor
-// isolates, classifies, quarantines, and resumes correctly.
+// loops, artificial livelocks and slow cycles in the memory hierarchy — to
+// prove the supervisor isolates, classifies, quarantines, and resumes
+// correctly.
 //
 // Determinism contract: every decision is a pure function of (Config.Seed,
 // salt, point, draw index). Each simulation derives its own Injector from
@@ -34,9 +34,6 @@ const (
 	// PointSlowCycle sleeps SlowCycle wall-clock time inside
 	// mem.Hierarchy.Tick, so per-run timeouts can trip on a live machine.
 	PointSlowCycle
-	// PointLedgerWrite fails a results-ledger append with a transient
-	// error, exercising the IO retry path.
-	PointLedgerWrite
 	numPoints
 )
 
@@ -45,7 +42,6 @@ var pointNames = [numPoints]string{
 	PointCoreStep:    "core-step-panic",
 	PointLivelock:    "livelock",
 	PointSlowCycle:   "slow-cycle",
-	PointLedgerWrite: "ledger-write-fail",
 }
 
 // String names the injection point.
@@ -63,12 +59,11 @@ type Config struct {
 
 	// Per-draw probabilities. Step-loop points draw once per simulated
 	// cycle (machine) or core step, so probabilities there should be tiny
-	// (e.g. 1e-6); ledger probabilities draw once per append.
+	// (e.g. 1e-6).
 	MachinePanic float64
 	CorePanic    float64
 	Livelock     float64
 	SlowCycle    float64
-	LedgerFail   float64
 
 	// SlowCycleSleep is the wall-clock pause per SlowCycle hit
 	// (default 1ms).
@@ -77,8 +72,7 @@ type Config struct {
 
 // Enabled reports whether any point can fire.
 func (c Config) Enabled() bool {
-	return c.MachinePanic > 0 || c.CorePanic > 0 || c.Livelock > 0 ||
-		c.SlowCycle > 0 || c.LedgerFail > 0
+	return c.MachinePanic > 0 || c.CorePanic > 0 || c.Livelock > 0 || c.SlowCycle > 0
 }
 
 func (c Config) prob(p Point) float64 {
@@ -91,8 +85,6 @@ func (c Config) prob(p Point) float64 {
 		return c.Livelock
 	case PointSlowCycle:
 		return c.SlowCycle
-	case PointLedgerWrite:
-		return c.LedgerFail
 	}
 	return 0
 }
@@ -108,13 +100,13 @@ func (i Injected) Error() string {
 	return fmt.Sprintf("chaos: injected %s fault (%s)", i.Point, i.Salt)
 }
 
-// Injector draws deterministic fault decisions for one simulation run (or
-// one ledger). A nil Injector never fires. Not safe for concurrent use:
-// attach one injector per machine, like a metrics collector.
+// Injector draws deterministic fault decisions for one simulation run. A
+// nil Injector never fires. Not safe for concurrent use: attach one
+// injector per machine, like a metrics collector.
 type Injector struct {
 	// Hook, when non-nil, observes every fault the instant it fires (before
-	// the panic is raised / the sleep starts / the error returns), so the
-	// telemetry layer can journal injected faults as structured events. It
+	// the panic is raised or the sleep starts), so the telemetry layer can
+	// journal injected faults as structured events. It
 	// runs on whichever goroutine drew the decision and so must be safe for
 	// concurrent use. Forked children inherit the parent's hook.
 	Hook func(p Point, salt string)
@@ -207,12 +199,4 @@ func (in *Injector) SlowCycle() {
 	if in.Hit(PointSlowCycle) {
 		time.Sleep(in.sleep)
 	}
-}
-
-// FailWrite returns a transient error if the ledger-write point fires.
-func (in *Injector) FailWrite() error {
-	if in.Hit(PointLedgerWrite) {
-		return Injected{Point: PointLedgerWrite, Salt: in.salt}
-	}
-	return nil
 }

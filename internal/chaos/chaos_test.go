@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -24,9 +23,6 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	}
 	in.Panic(PointMachineStep) // must not panic
 	in.SlowCycle()
-	if err := in.FailWrite(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestZeroConfigNeverFires(t *testing.T) {
@@ -47,7 +43,7 @@ func TestZeroConfigNeverFires(t *testing.T) {
 }
 
 func TestDeterminismAcrossInstances(t *testing.T) {
-	cfg := Config{Seed: 42, MachinePanic: 0.01, CorePanic: 0.02, Livelock: 0.005, SlowCycle: 0.03, LedgerFail: 0.1}
+	cfg := Config{Seed: 42, MachinePanic: 0.01, CorePanic: 0.02, Livelock: 0.005, SlowCycle: 0.03}
 	a := New(cfg, "gzip|orig")
 	b := New(cfg, "gzip|orig")
 	for p := Point(0); p < numPoints; p++ {
@@ -78,11 +74,11 @@ func TestSaltSeparatesStreams(t *testing.T) {
 }
 
 func TestProbabilityRoughlyHonored(t *testing.T) {
-	cfg := Config{Seed: 1, LedgerFail: 0.25}
+	cfg := Config{Seed: 1, Livelock: 0.25}
 	in := New(cfg, "x")
 	n, hits := 100000, 0
 	for i := 0; i < n; i++ {
-		if in.Hit(PointLedgerWrite) {
+		if in.Hit(PointLivelock) {
 			hits++
 		}
 	}
@@ -115,15 +111,6 @@ func TestPanicRaisesInjected(t *testing.T) {
 	}()
 	in.Panic(PointCoreStep)
 	t.Fatal("Panic did not panic")
-}
-
-func TestFailWrite(t *testing.T) {
-	in := New(Config{Seed: 5, LedgerFail: 1}, "x")
-	err := in.FailWrite()
-	var inj Injected
-	if !errors.As(err, &inj) || inj.Point != PointLedgerWrite {
-		t.Fatalf("FailWrite = %v", err)
-	}
 }
 
 func TestSlowCycleSleeps(t *testing.T) {

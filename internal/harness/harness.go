@@ -61,21 +61,13 @@ type Runner struct {
 	// Chaos, when any probability is set, attaches a deterministic fault
 	// injector to every simulation, salted with the cell's memo key.
 	Chaos chaos.Config
-	// Retries bounds re-attempts of transient IO-kind failures (metrics,
-	// attribution, and ledger writes). 0 means the default (3); negative
-	// disables retrying.
-	Retries int
-	// RetryBackoff is the initial IO retry delay, doubled per attempt and
-	// capped; 0 means the default (5ms).
-	RetryBackoff time.Duration
 	// Ledger, when non-nil, journals each completed cell so an interrupted
 	// suite can resume (see OpenLedger and Prefill).
 	Ledger *Ledger
 	// Archive, when non-nil, archives every fresh completed cell's
 	// manifest (config hash, provenance, deterministic counters, artifact
-	// references) into the content-addressed run store, through the same
-	// retry policy as the other export paths. The put happens before the
-	// ledger append, so a journaled cell is always archived: an
+	// references) into the content-addressed run store. The put happens
+	// before the ledger append, so a journaled cell is always archived: an
 	// interrupted sweep resumed from its ledger converges on exactly one
 	// manifest per cell.
 	Archive *runstore.Store
@@ -86,9 +78,9 @@ type Runner struct {
 	ArchiveRev string
 	// Telemetry, when non-nil, scopes this runner's work under a live
 	// telemetry run: every fresh cell opens a span and publishes progress
-	// through a metrics.ProgressTap (visible on the run's HTTP
-	// introspection server), failures stamp the run/span identity onto
-	// their errors and dump the flight recorder, and suite progress is
+	// through its collector's metrics.ProgressTap (visible on the run's
+	// HTTP introspection server), failures stamp the run/span identity
+	// onto their errors and write a flight dump, and suite progress is
 	// logged structurally instead of through Verbose.
 	Telemetry *telemetry.Run
 
@@ -217,8 +209,8 @@ func (r *Runner) key(bench string, cfg sta.Config) string {
 // against the attribution report's internal accounting.
 //
 // Runs are supervised: panics anywhere in the cell become Panic-kind
-// errors instead of killing the process, Ctx/Timeout bound the run, IO
-// failures on the export paths are retried, and a failed cell is
+// errors instead of killing the process, Ctx/Timeout bound the run, a
+// failed export write is an IO-kind failure, and a failed cell is
 // quarantined so later lookups fail fast (see SuiteError).
 func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err error) {
 	k := r.key(bench, cfg)
@@ -228,8 +220,8 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 			res, err = nil, r.quarantine(k, bench, simerr.FromPanic("harness.Result", rec))
 		}
 		// Telemetry finalization sees the recovered error too: a failed
-		// cell ends its span with the simerr outcome and dumps the
-		// flight recorder; a successful one records the final cycle.
+		// cell ends its span with the simerr outcome and writes its
+		// flight dump; a successful one records the final cycle.
 		if cell == nil {
 			return
 		}
@@ -252,8 +244,24 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	if ok {
 		return res, nil
 	}
+	var col *metrics.Collector
+	if r.Out != "" {
+		col = metrics.NewCollector(metrics.Interval)
+	} else if r.Attrib || r.Telemetry != nil {
+		col = &metrics.Collector{}
+	}
+	if r.Attrib || r.Out != "" {
+		col.Attrib = attrib.NewCollector() // a sampled run drops it
+	}
 	if r.Telemetry != nil {
-		cell = r.Telemetry.StartCell(bench, "cfg-"+shortKey(k), r.Chaos.Seed)
+		// Per cell, not per batch: wgen cells reach Result directly.
+		if r.Ledger != nil {
+			r.Telemetry.SetLedger(r.Ledger.Path())
+		}
+		if r.Archive != nil {
+			r.Telemetry.SetArchive(r.Archive.Root())
+		}
+		cell = r.Telemetry.StartCell(bench, "cfg-"+shortKey(k), r.Chaos.Seed, col)
 	}
 	p, err := r.program(bench)
 	if err != nil {
@@ -269,18 +277,6 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 	}
 	m.Sample = r.Sample
-	var col *metrics.Collector
-	if r.Out != "" {
-		col = metrics.NewCollector(metrics.Interval)
-	} else if r.Attrib || cell != nil {
-		col = &metrics.Collector{}
-	}
-	if r.Attrib || r.Out != "" {
-		col.Attrib = attrib.NewCollector() // a sampled run drops it
-	}
-	if cell != nil {
-		col.Tap = cell.Tap
-	}
 	m.Obs = col
 	res, err = r.runSupervised(k, m, cell)
 	if err != nil {
@@ -307,15 +303,12 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 	spans := r.Telemetry != nil && r.Telemetry.Dir() != ""
 	artifacts := runstore.Artifacts(r.Out, bench+"-"+shortKey(k)+".", rep != nil, spans)
 	if r.Out != "" {
-		err := r.retryIO("harness.out", k, cell, func() error {
-			err := runstore.WriteArtifact(artifacts["metrics"], func(w io.Writer) error { return col.WriteJSON(w, res.Stats.Cycles) })
-			if err == nil && rep != nil {
-				err = runstore.WriteArtifact(artifacts["attrib"], rep.WriteJSON)
-			}
-			return classifyIO("harness.out", err)
-		})
+		err := runstore.WriteArtifact(artifacts["metrics"], func(w io.Writer) error { return col.WriteJSON(w, res.Stats.Cycles) })
+		if err == nil && rep != nil {
+			err = runstore.WriteArtifact(artifacts["attrib"], rep.WriteJSON)
+		}
 		if err != nil {
-			return nil, r.quarantine(k, bench, err)
+			return nil, r.quarantine(k, bench, classifyIO("harness.out", err))
 		}
 	}
 	if r.Archive != nil {
@@ -336,20 +329,13 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		if rep != nil {
 			man.Attrib = runstore.SummarizeAttrib(rep)
 		}
-		err := r.retryIO("harness.archive", k, cell, func() error {
-			return classifyIO("harness.archive", r.Archive.Put(man))
-		})
-		if err != nil {
-			return nil, r.quarantine(k, bench, err)
+		if err := r.Archive.Put(man); err != nil {
+			return nil, r.quarantine(k, bench, classifyIO("harness.archive", err))
 		}
 	}
 	if r.Ledger != nil {
-		err := r.retryIO("harness.ledger", k, cell, func() error { return r.Ledger.Append(k, res) })
-		if err != nil {
+		if err := r.Ledger.Append(k, res); err != nil {
 			return nil, r.quarantine(k, bench, err)
-		}
-		if r.Telemetry != nil {
-			r.Telemetry.NoteLedgerAppend()
 		}
 	}
 	r.mu.Lock()
@@ -399,12 +385,6 @@ func (r *Runner) AttribReport(bench string, cfg sta.Config) (*attrib.Report, err
 // runs (and is journaled, when a ledger is attached), and the batch
 // returns a *SuiteError aggregating everything that went wrong.
 func (r *Runner) batch(jobs []job) error {
-	if r.Telemetry != nil && r.Ledger != nil && r.Telemetry.LedgerPath() == "" {
-		r.Telemetry.SetLedger(r.Ledger.Path())
-	}
-	if r.Telemetry != nil && r.Archive != nil && r.Telemetry.ArchivePath() == "" {
-		r.Telemetry.SetArchive(r.Archive.Root())
-	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

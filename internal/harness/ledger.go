@@ -3,9 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
-	"repro/internal/chaos"
 	"repro/internal/journal"
 	"repro/internal/simerr"
 	"repro/internal/sta"
@@ -39,10 +37,8 @@ type ledgerEntry struct {
 // Appends are serialized internally; one Ledger may back a whole worker
 // pool.
 type Ledger struct {
-	mu    sync.Mutex // guards the chaos draw
-	j     *journal.Journal
-	path  string
-	chaos *chaos.Injector
+	j    *journal.Journal
+	path string
 }
 
 // OpenLedger opens (creating if needed) the ledger at path and returns it
@@ -85,22 +81,11 @@ func OpenLedger(path string, scale int) (*Ledger, map[string]*sta.Result, error)
 	return &Ledger{j: j, path: path}, prior, nil
 }
 
-// SetChaos attaches (or with nil detaches) a fault injector whose
-// ledger-write point makes Append fail transiently.
-func (l *Ledger) SetChaos(in *chaos.Injector) { l.chaos = in }
-
 // Path returns the ledger's file path.
 func (l *Ledger) Path() string { return l.path }
 
-// Append journals one completed result. Failures are IO-kind (and so
-// retried by the Runner's IO retry policy).
+// Append journals one completed result. Failures are IO-kind.
 func (l *Ledger) Append(key string, res *sta.Result) error {
-	l.mu.Lock()
-	err := l.chaos.FailWrite()
-	l.mu.Unlock()
-	if err != nil {
-		return simerr.Classify("harness.ledger", err, simerr.IO)
-	}
 	line, err := json.Marshal(ledgerEntry{Key: key, Result: res})
 	if err != nil {
 		return simerr.Classify("harness.ledger", err, simerr.IO)

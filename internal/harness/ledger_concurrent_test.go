@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sta"
 )
@@ -122,42 +121,5 @@ func TestLedgerResumeIsByteStable(t *testing.T) {
 		if string(got) != string(clean) {
 			t.Fatalf("round %d: resumed ledger bytes differ from pre-tear state:\n%q\nwant\n%q", round, got, clean)
 		}
-	}
-}
-
-// TestBackoffDelayDeterministic pins the retry jitter contract: pure in (key, attempt, base, max), capped exponential shape,
-// jitter within [0.75, 1.25), and decorrelated across keys.
-func TestBackoffDelayDeterministic(t *testing.T) {
-	base, max := 5*time.Millisecond, 250*time.Millisecond
-	for attempt := 0; attempt < 12; attempt++ {
-		a := backoffDelay("cell-x", attempt, base, max)
-		b := backoffDelay("cell-x", attempt, base, max)
-		if a != b {
-			t.Fatalf("attempt %d: not deterministic (%v vs %v)", attempt, a, b)
-		}
-		// The un-jittered delay doubles per attempt, capped.
-		raw := base << attempt
-		if raw > max || raw <= 0 {
-			raw = max
-		}
-		lo := time.Duration(float64(raw) * 0.75)
-		hi := time.Duration(float64(raw) * 1.25)
-		if a < lo || a >= hi {
-			t.Errorf("attempt %d: delay %v outside [%v, %v)", attempt, a, lo, hi)
-		}
-	}
-	// Distinct keys draw distinct jitter (thundering-herd decorrelation):
-	// with 8 keys at the same attempt, at least two must differ.
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 8; i++ {
-		seen[backoffDelay(fmt.Sprintf("cell-%d", i), 3, base, max)] = true
-	}
-	if len(seen) < 2 {
-		t.Error("jitter does not vary across keys")
-	}
-	// Zero base/max fall back to the documented defaults rather than
-	// degenerating to zero sleeps.
-	if d := backoffDelay("cell-x", 0, 0, 0); d <= 0 {
-		t.Errorf("default-parameter delay = %v, want > 0", d)
 	}
 }

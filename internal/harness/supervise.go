@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/isa"
@@ -152,78 +151,6 @@ func (r *Runner) runSupervised(k string, m *sta.Machine, cell *telemetry.Cell) (
 	}
 	sim.EndAt(cycles, telemetry.OutcomeOf(err), err)
 	return res, err
-}
-
-// backoffDelay returns the capped-exponential retry delay for an attempt
-// (0-based), scaled by a deterministic jitter factor in [0.75, 1.25) drawn
-// from a stream seeded by key — typically the cell's memo key. The same
-// (key, attempt, base, max) always yields the same delay, so retry
-// schedules are reproducible in tests; distinct keys decorrelate, so a
-// batch of cells failing together spreads its retries out instead of
-// retrying in lockstep.
-func backoffDelay(key string, attempt int, base, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	// splitmix64 over FNV(key) and the attempt number: a pure function,
-	// well-decorrelated across both inputs.
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	s := h.Sum64() + (uint64(attempt)+1)*0x9E3779B97F4A7C15
-	s ^= s >> 30
-	s *= 0xBF58476D1CE4E5B9
-	s ^= s >> 27
-	s *= 0x94D049BB133111EB
-	s ^= s >> 31
-	frac := float64(s>>11) / float64(1<<53) // [0, 1)
-	return time.Duration(float64(d) * (0.75 + 0.5*frac))
-}
-
-// retryIO runs op, retrying IO-kind failures with capped exponential
-// backoff under deterministic seeded jitter (see backoffDelay; key is the
-// cell's memo key); any other kind (or exhausted retries) is returned
-// as-is. IO failures are the only class the supervisor treats as
-// transient. With telemetry attached, each re-attempt is counted, logged,
-// and traced as a "retry" span under the cell.
-func (r *Runner) retryIO(opName, key string, cell *telemetry.Cell, op func() error) error {
-	retries := r.Retries
-	if retries == 0 {
-		retries = 3
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	const maxBackoff = 250 * time.Millisecond
-	var err error
-	for attempt := 0; ; attempt++ {
-		var sp *telemetry.Span
-		if attempt > 0 && r.Telemetry != nil {
-			var parent *telemetry.Span
-			if cell != nil {
-				parent = cell.Span
-			}
-			sp = r.Telemetry.StartSpan("retry", fmt.Sprintf("%s retry %d", opName, attempt), parent)
-		}
-		err = op()
-		sp.End(telemetry.OutcomeOf(err), err)
-		if err == nil || attempt >= retries || simerr.KindOf(err) != simerr.IO {
-			return err
-		}
-		if r.Telemetry != nil {
-			r.Telemetry.NoteRetry(opName, attempt+1, err)
-		}
-		time.Sleep(backoffDelay(key+"|"+opName, attempt, r.RetryBackoff, maxBackoff))
-	}
 }
 
 // classifyIO wraps a write-path error into the IO kind (nil stays nil).

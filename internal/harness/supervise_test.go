@@ -104,54 +104,35 @@ func TestLedgerScaleMismatch(t *testing.T) {
 	}
 }
 
-// TestLedgerChaosFailuresAreIO: injected write failures classify as IO (the
-// retryable kind) and really fail the append.
-func TestLedgerChaosFailuresAreIO(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	led, _, err := OpenLedger(path, 1)
-	if err != nil {
+// TestExportFailureQuarantinesIO: a cell whose export write fails (Out is
+// a regular file, so no artifact can be created under it) fails with an
+// IO-kind error and is quarantined: a second lookup returns the same error
+// without simulating again, and a batch counts it as one io failure.
+func TestExportFailureQuarantinesIO(t *testing.T) {
+	bench := Benches()[0].Short
+	cfg := smallCfg(t)
+	out := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(out, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer led.Close()
-	led.SetChaos(chaos.New(chaos.Config{Seed: 3, LedgerFail: 1}, "test"))
-	err = led.Append("k", &sta.Result{})
+	r := NewRunner(1)
+	r.Out = out
+	_, err := r.Result(bench, cfg)
 	if simerr.KindOf(err) != simerr.IO {
-		t.Fatalf("injected append failure kind = %v (%v)", simerr.KindOf(err), err)
+		t.Fatalf("export failure kind = %v (%v), want io", simerr.KindOf(err), err)
 	}
-}
-
-// TestRetryIO pins the retry policy: IO-kind failures are retried up to the
-// cap, other kinds fail immediately.
-func TestRetryIO(t *testing.T) {
-	r := &Runner{RetryBackoff: time.Microsecond}
-	calls := 0
-	err := r.retryIO("test", "key", nil, func() error {
-		calls++
-		if calls < 3 {
-			return simerr.Errorf(simerr.IO, "test", "transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Errorf("transient IO: err=%v calls=%d, want nil after 3", err, calls)
+	// Were the cell simulated again, every run would now panic.
+	r.Chaos = chaos.Config{Seed: 1, MachinePanic: 1}
+	if _, again := r.Result(bench, cfg); again != err {
+		t.Fatalf("second lookup = %v, want the quarantined %v", again, err)
 	}
-
-	calls = 0
-	err = r.retryIO("test", "key", nil, func() error {
-		calls++
-		return simerr.Errorf(simerr.BadProgram, "test", "permanent")
-	})
-	if err == nil || calls != 1 {
-		t.Errorf("non-IO failure: err=%v calls=%d, want immediate error", err, calls)
+	berr := r.batch([]job{{bench, cfg}})
+	se, ok := berr.(*SuiteError)
+	if !ok {
+		t.Fatalf("batch error %T, want *SuiteError (%v)", berr, berr)
 	}
-
-	calls = 0
-	err = r.retryIO("test", "key", nil, func() error {
-		calls++
-		return simerr.Errorf(simerr.IO, "test", "always down")
-	})
-	if err == nil || calls != 4 {
-		t.Errorf("exhausted retries: err=%v calls=%d, want error after 1+3 attempts", err, calls)
+	if kinds := se.Kinds(); se.Total != 1 || len(se.Failures) != 1 || kinds[simerr.IO] != 1 {
+		t.Fatalf("SuiteError total %d, kinds %v, want one io failure", se.Total, kinds)
 	}
 }
 

@@ -170,7 +170,7 @@ func TestSpanLogEveryOffset(t *testing.T) {
 	r := start(rec)
 	r.BeginSuite("fig8")
 	for _, bench := range []string{"gzip", "mcf", "vpr"} {
-		r.StartCell(bench, "cfg-00000001", 0).Done(10)
+		r.StartCell(bench, "cfg-00000001", 0, nil).Done(10)
 	}
 	r.EndSuite("ok", nil)
 	r.Close()
@@ -183,7 +183,7 @@ func TestSpanLogEveryOffset(t *testing.T) {
 		if got := readFile(t, path); !bytes.Equal(got, prefix) {
 			t.Fatalf("cut at %d: reopened log holds %q, want the %d whole spans %q", n, got, want, prefix)
 		}
-		r.StartCell("extra", "cfg-00000002", 0).Done(20)
+		r.StartCell("extra", "cfg-00000002", 0, nil).Done(20)
 		r.Close()
 		start(tel).Close()
 		lines := bytes.Split(bytes.TrimSuffix(readFile(t, path), []byte{'\n'}), []byte{'\n'})

@@ -29,9 +29,6 @@ func TestRegistrySnapshot(t *testing.T) {
 			t.Errorf("snapshot not key-sorted: %s before %s", snap[i-1].Key, kv.Key)
 		}
 	}
-	if got := snap[0].Scope(); got != "l2" {
-		t.Errorf("Scope() = %q, want l2", got)
-	}
 	// Live: a later snapshot sees new increments.
 	ext = 9
 	if got := r.Snapshot()[0].Value; got != 9 {
@@ -120,7 +117,7 @@ func TestNilCollectorHooksAreSafe(t *testing.T) {
 	for _, c := range []*Collector{nil, {}} {
 		c.ObserveMemAccess(0, -1, 1, 5, false)
 		c.Event(trace.Event{Kind: trace.Halt})
-		c.Publish(1, 1, nil, true)
+		c.Publish(1, 1, true)
 		c.MaybeSample(1000)
 		c.FastForward(1000, 5000)
 		c.Finish(2000)

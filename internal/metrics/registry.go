@@ -16,7 +16,6 @@ package metrics
 
 import (
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -64,12 +63,4 @@ func (r *Registry) Snapshot() []KV {
 type KV struct {
 	Key   string
 	Value uint64
-}
-
-// Scope extracts the scope component of the key ("tu0/commits" -> "tu0").
-func (kv KV) Scope() string {
-	if i := strings.IndexByte(kv.Key, '/'); i >= 0 {
-		return kv.Key[:i]
-	}
-	return ""
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -187,9 +186,4 @@ func (s *Sampler) export() seriesExport {
 		rows[i] = append([]float64{float64(s.cycles[i])}, r...)
 	}
 	return seriesExport{Interval: s.Interval, Columns: cols, Rows: rows}
-}
-
-// String summarizes the sampler for debugging.
-func (s *Sampler) String() string {
-	return fmt.Sprintf("sampler(interval=%d, cols=%d, rows=%d)", s.Interval, len(s.cols), len(s.rows))
 }

@@ -41,8 +41,8 @@ const (
 	// BadProgram is a workload that failed to build, parse, or verify
 	// against the functional reference.
 	BadProgram
-	// IO is a filesystem or export failure (ledger, metrics, attribution
-	// writes). IO failures are considered transient and retried.
+	// IO is a filesystem or export failure (ledger, archive, metrics,
+	// attribution writes).
 	IO
 )
 

@@ -1,10 +1,14 @@
 package sta_test
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/sta"
+	"repro/internal/wgen"
 	"repro/internal/workload"
 )
 
@@ -13,11 +17,32 @@ import (
 // to act on must change nothing: no other TU exists to run a wrong thread,
 // so wth ≡ orig and wth-wp ≡ wp; and a run that issues no wrong-execution
 // load leaves the WEC only its victim role, so wth-wp-wec ≡ vc. Each
-// identity compares the whole stats.Sim and the memory checksum.
+// identity compares the whole stats.Sim and the memory checksum. The
+// inputs are every kernel plus every genome of the committed wgen seed
+// corpus.
 func TestOneTUConfigIdentities(t *testing.T) {
-	run := func(t *testing.T, w *workload.Workload, name config.Name) sta.Result {
+	type input struct {
+		name  string
+		build func() (*isa.Program, error)
+	}
+	var inputs []input
+	for _, w := range workload.All() {
+		inputs = append(inputs, input{w.Short, func() (*isa.Program, error) { return w.Build(1) }})
+	}
+	genomes, err := filepath.Glob("../wgen/testdata/corpus/*.wgen")
+	if err != nil || len(genomes) == 0 {
+		t.Fatalf("wgen corpus: %d genomes (%v)", len(genomes), err)
+	}
+	for _, path := range genomes {
+		g, err := wgen.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{strings.TrimSuffix(filepath.Base(path), ".wgen"), g.Program})
+	}
+	run := func(t *testing.T, in input, name config.Name) sta.Result {
 		t.Helper()
-		prog, err := w.Build(1)
+		prog, err := in.build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +69,10 @@ func TestOneTUConfigIdentities(t *testing.T) {
 		{config.WTHWPWEC, config.VC, true},
 	}
 	noWrongRuns := 0
-	for _, w := range workload.All() {
-		t.Run(w.Short, func(t *testing.T) {
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
 			for _, id := range identities {
-				got, want := run(t, w, id.cfg), run(t, w, id.base)
+				got, want := run(t, in, id.cfg), run(t, in, id.base)
 				if id.noWrong {
 					if got.Stats.WrongLoads != 0 {
 						continue

@@ -263,8 +263,8 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 			e.TUs = m.Snapshot()
 			res, err = nil, e
 		}
-		// Final publication (success or failure) so late readers — the
-		// flight recorder most of all — see the terminal state.
+		// Final publication (success or failure) so late readers see
+		// the terminal state.
 		m.publishProgress(true)
 	}()
 	m.attach()

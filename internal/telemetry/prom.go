@@ -98,12 +98,8 @@ func (r *Run) WriteProm(w io.Writer) error {
 	p := &promWriter{w: w, typed: make(map[string]bool)}
 
 	r.mu.Lock()
-	done, failed := r.cellsDone, r.cellsFailed
-	retries, faults := r.retries, r.faults
+	done, failed, faults := r.cellsDone, r.cellsFailed, r.faults
 	inflight := len(r.cells)
-	ledgerPath := r.ledgerPath
-	ledgerAppends := r.ledgerAppends
-	lastLedger := r.lastLedger
 	r.mu.Unlock()
 
 	p.header("sta_suite_info", "Run identity (value is always 1).", "gauge")
@@ -116,16 +112,8 @@ func (r *Run) WriteProm(w io.Writer) error {
 	p.value("sta_suite_cells_done_total", nil, float64(done))
 	p.header("sta_suite_cells_failed_total", "Cells failed and quarantined.", "counter")
 	p.value("sta_suite_cells_failed_total", nil, float64(failed))
-	p.header("sta_suite_retries_total", "Transient-failure retries.", "counter")
-	p.value("sta_suite_retries_total", nil, float64(retries))
 	p.header("sta_suite_chaos_faults_total", "Injected chaos faults observed.", "counter")
 	p.value("sta_suite_chaos_faults_total", nil, float64(faults))
-	if ledgerPath != "" {
-		p.header("sta_suite_ledger_appends_total", "Results-ledger entries journaled.", "counter")
-		p.value("sta_suite_ledger_appends_total", [][2]string{{"path", ledgerPath}}, float64(ledgerAppends))
-		p.header("sta_suite_ledger_lag_seconds", "Seconds since the last ledger append.", "gauge")
-		p.value("sta_suite_ledger_lag_seconds", nil, time.Since(lastLedger).Seconds())
-	}
 
 	// Per-cell gauges, family by family: the text format wants each
 	// metric's samples in one group.
@@ -143,7 +131,7 @@ func (r *Run) WriteProm(w io.Writer) error {
 	} {
 		for _, c := range cells {
 			p.header(g.name, g.help, "gauge")
-			p.value(g.name, cellLabel(c), g.value(c.Tap))
+			p.value(g.name, cellLabel(c), g.value(c.Obs.Tap))
 		}
 	}
 	// Bridged per-cycle metrics registries, one metric per scope/name key.
@@ -156,11 +144,8 @@ func (r *Run) WriteProm(w io.Writer) error {
 	}
 	var all []bridged
 	for _, c := range cells {
-		for _, kv := range c.Tap.Counters() {
-			scope, name := kv.Key, ""
-			if i := strings.IndexByte(kv.Key, '/'); i >= 0 {
-				scope, name = kv.Key[:i], kv.Key[i+1:]
-			}
+		for _, kv := range c.Obs.Tap.Counters() {
+			scope, name, _ := strings.Cut(kv.Key, "/")
 			all = append(all, bridged{
 				name:  "sta_sim_" + promSanitize(name),
 				label: append(cellLabel(c), [2]string{"scope", scope}),

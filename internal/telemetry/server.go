@@ -127,14 +127,14 @@ func (s *httpServer) handleRuns(w http.ResponseWriter, _ *http.Request) {
 	}
 	r.mu.Unlock()
 	for i, c := range cells {
-		cycle, commits := c.Tap.Latest()
+		cycle, commits := c.Obs.Tap.Latest()
 		rc := runsCell{
 			Span:         spans[i],
 			Cycle:        cycle,
 			Commits:      commits,
-			CyclesPerSec: c.Tap.Rate(),
+			CyclesPerSec: c.Obs.Tap.Rate(),
 		}
-		if st := c.Tap.Started(); !st.IsZero() {
+		if st := c.Obs.Tap.Started(); !st.IsZero() {
 			rc.WallSeconds = time.Since(st).Seconds()
 		}
 		doc.Cells = append(doc.Cells, rc)

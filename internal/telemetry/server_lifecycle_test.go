@@ -45,7 +45,7 @@ func TestServerShutdownDrainsRuns(t *testing.T) {
 		close(entered)
 		<-release
 	}
-	r.StartCell("mcf", "cfg-deadbeef", 0)
+	r.StartCell("mcf", "cfg-deadbeef", 0, nil)
 
 	type resp struct {
 		doc runsDoc

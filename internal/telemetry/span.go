@@ -10,15 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Span is one traced unit of suite work: a whole suite, one cell, one
-// machine invocation, or one retry attempt. Spans are created through
-// Run.StartSpan / Run.StartCell and completed with End; a span with an
-// empty Outcome is still in flight.
+// Span is one traced unit of suite work: a whole suite, one cell, or one
+// machine invocation. Spans are created through Run.StartSpan /
+// Run.StartCell and completed with End; a span with an empty Outcome is
+// still in flight.
 type Span struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
 	Run    string `json:"run"`
-	Kind   string `json:"kind"` // suite | cell | sim | retry
+	Kind   string `json:"kind"` // suite | cell | sim
 	Name   string `json:"name"`
 	Bench  string `json:"bench,omitempty"`
 	// Config is the short memo-key hash ("cfg-xxxxxxxx") that also names
@@ -35,14 +35,6 @@ type Span struct {
 	Err     string `json:"err,omitempty"`
 
 	run *Run
-}
-
-// Duration returns the span's wall duration (to now while in flight).
-func (s *Span) Duration() time.Duration {
-	if s.End_.IsZero() {
-		return time.Since(s.Start)
-	}
-	return s.End_.Sub(s.Start)
 }
 
 // StartSpan opens a span under the run. parent may be nil: cells and
@@ -69,9 +61,8 @@ func (r *Run) StartSpan(kind, name string, parent *Span) *Span {
 	return s
 }
 
-// End completes the span: it leaves the live set, lands in the flight
-// recorder's ring, and is journaled to the span JSONL. Ending twice is a
-// no-op.
+// End completes the span: it leaves the live set and is journaled to the
+// span JSONL. Ending twice is a no-op.
 func (s *Span) End(outcome string, err error) { s.EndAt(0, outcome, err) }
 
 // EndAt is End plus the final simulated cycle (0 leaves EndCycle alone).
@@ -97,9 +88,8 @@ func (s *Span) EndAt(endCycle uint64, outcome string, err error) {
 	}
 	delete(r.live, s.ID)
 	r.mu.Unlock()
-	// The span is sealed: no further mutation happens, so the copies below
-	// are safe without the lock.
-	r.flight.add(*s)
+	// The span is sealed: no further mutation happens, so the journal
+	// write is safe without the lock.
 	r.writeSpan(s)
 }
 
@@ -115,7 +105,7 @@ func OutcomeOf(err error) string {
 // ConvertSpans reads span JSONL (as written to spans.jsonl) and renders a
 // Chrome trace-event / Perfetto JSON timeline of one run's spans (a
 // directory's journal holds every run made in it): suites on track 0,
-// each cell (with its sim and retry children) on the track of its span
+// each cell (with its sim child) on the track of its span
 // ID, all in wall-clock microseconds relative to the earliest span.
 // Conversion stops at the first malformed record, such as the torn tail
 // of a killed run. Run.Close is its caller: it renders the closing run's
@@ -142,7 +132,7 @@ func ConvertSpans(in io.Reader, out io.Writer, run string) error {
 			epoch = s.Start
 		}
 	}
-	// Cells own tracks; children (sim/retry) ride on the parent's track.
+	// Cells own tracks; children (sim) ride on the parent's track.
 	track := func(s Span) int {
 		switch s.Kind {
 		case "suite":

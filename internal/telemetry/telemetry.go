@@ -5,8 +5,8 @@
 //
 // A Run owns four things:
 //
-//   - span tracing: every suite, cell, retry, and machine invocation opens
-//     a Span (run ID, config memo key, seed, start/end cycle, outcome from
+//   - span tracing: every suite, cell, and machine invocation opens a
+//     Span (run ID, config memo key, seed, start/end cycle, outcome from
 //     the simerr taxonomy); completed spans stream to spans.jsonl and, on
 //     Close, the run's spans are rendered as a Chrome trace-event/Perfetto
 //     timeline (spans.trace.json) that loads beside the cycle-level
@@ -15,16 +15,16 @@
 //     format (suite gauges plus each live cell's bridged metrics
 //     registry), /runs as live JSON of in-flight spans, /healthz, and the
 //     standard pprof handlers.
-//   - a flight recorder: a bounded ring of recent spans which, joined with
-//     the failing cell's progress-sample ring, is dumped as JSON whenever
-//     a cell panics, deadlocks, or trips the watchdog — so chaos-injected
-//     failures become replayable narratives instead of bare stacks.
+//   - flight dumps: whenever a cell panics, deadlocks, or trips the
+//     watchdog, a JSON dump beside the span journal records the failure,
+//     the per-TU machine snapshot and the cell collector's metrics export;
+//     its run and span IDs key into the journal for the history.
 //   - structured logging: a slog.Logger with the run ID attached, threaded
 //     through the harness, supervision, ledger, and chaos paths.
 //
 // The simulator never imports this package; it publishes through the
-// metrics.ProgressTap its collector carries (a Cell's Tap), which costs
-// one untaken nil check per run-loop iteration when detached. Everything
+// metrics.ProgressTap of its collector (a Cell's Obs), which costs one
+// untaken nil check per run-loop iteration when detached. Everything
 // here is safe for concurrent use: the
 // publishing side is the harness worker pool, the reading side the HTTP
 // server.
@@ -56,14 +56,11 @@ type Config struct {
 	// server). Use "127.0.0.1:0" to pick a free port; Run.Addr reports it.
 	Addr string
 	// Dir receives the span JSONL (spans.jsonl), its rendered trace
-	// (spans.trace.json) and flight-recorder dumps ("" disables the
-	// files; spans still feed the in-memory ring).
+	// (spans.trace.json) and flight dumps ("" disables the files).
 	Dir string
 	// Log is the base logger; nil installs a text handler on stderr at
 	// Info level. The Run's logger carries the run ID on every record.
 	Log *slog.Logger
-	// FlightSpans bounds the flight recorder's span ring (0 = default).
-	FlightSpans int
 }
 
 // Run is one telemetry-scoped harness invocation.
@@ -76,7 +73,6 @@ type Run struct {
 
 	cfg     Config
 	started time.Time
-	flight  *Recorder
 
 	mu       sync.Mutex
 	nextSpan uint64
@@ -87,13 +83,10 @@ type Run struct {
 
 	cellsDone   uint64
 	cellsFailed uint64
-	retries     uint64
 	faults      uint64
 
-	ledgerPath    string
-	archiveRoot   string
-	ledgerAppends uint64
-	lastLedger    time.Time
+	ledgerPath  string
+	archiveRoot string
 
 	spans     *journal.Journal // spans.jsonl; nil without a Dir
 	spansFrom int64            // journal size at Start: this run's spans follow
@@ -125,7 +118,6 @@ func Start(cfg Config) (*Run, error) {
 		ID:      NewRunID(),
 		cfg:     cfg,
 		started: time.Now(),
-		flight:  newRecorder(cfg.FlightSpans),
 		live:    make(map[uint64]*Span),
 		cells:   make(map[uint64]*Cell),
 	}
@@ -172,9 +164,6 @@ func (r *Run) Addr() string {
 
 // Dir returns the telemetry output directory ("" when disabled).
 func (r *Run) Dir() string { return r.cfg.Dir }
-
-// Flight exposes the flight recorder (tests, dumps).
-func (r *Run) Flight() *Recorder { return r.flight }
 
 // Close ends the run: any still-open suite span is closed, the profile
 // begun by StartProfile written, the span file flushed and rendered as a
@@ -231,52 +220,19 @@ func (r *Run) renderSpans() error {
 	return nil
 }
 
-// SetLedger records the results-ledger path so failure messages and the
-// /metrics ledger gauges can reference it.
+// SetLedger records the results-ledger path so /runs can reference it.
 func (r *Run) SetLedger(path string) {
 	r.mu.Lock()
 	r.ledgerPath = path
-	r.lastLedger = time.Now()
 	r.mu.Unlock()
 }
 
-// LedgerPath returns the recorded ledger path ("" when none).
-func (r *Run) LedgerPath() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ledgerPath
-}
-
-// SetArchive records the run-archive root so /runs and failure messages
-// can point readers at the archived manifests.
+// SetArchive records the run-archive root so /runs can point readers at
+// the archived manifests.
 func (r *Run) SetArchive(root string) {
 	r.mu.Lock()
 	r.archiveRoot = root
 	r.mu.Unlock()
-}
-
-// ArchivePath returns the recorded archive root ("" when none).
-func (r *Run) ArchivePath() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.archiveRoot
-}
-
-// NoteLedgerAppend records one successful ledger append (drives the
-// ledger-lag gauge).
-func (r *Run) NoteLedgerAppend() {
-	r.mu.Lock()
-	r.ledgerAppends++
-	r.lastLedger = time.Now()
-	r.mu.Unlock()
-}
-
-// NoteRetry records one transient-failure retry and logs it.
-func (r *Run) NoteRetry(op string, attempt int, err error) {
-	r.mu.Lock()
-	r.retries++
-	r.mu.Unlock()
-	r.Log.Warn("transient failure, retrying", "op", op, "attempt", attempt, "err", err)
 }
 
 // NoteFault records one injected chaos fault. Safe from any goroutine (the
@@ -295,27 +251,33 @@ func (r *Run) Counts() (done, failed uint64) {
 	return r.cellsDone, r.cellsFailed
 }
 
-// Cell is one in-flight simulation under the run: its span plus the live
-// progress tap the machine publishes into.
+// Cell is one in-flight simulation under the run: its span plus the
+// collector its machine runs with.
 type Cell struct {
 	Span *Span
-	// Tap becomes the machine's collector's Tap before Run so the
-	// telemetry layer sees live cycle/commit progress and, on failure, the
-	// recent progress-sample ring.
-	Tap *metrics.ProgressTap
+	// Obs is the machine's collector. Its Tap carries live cycle/commit
+	// progress to the HTTP server; on failure the flight dump exports it.
+	Obs *metrics.Collector
 
 	run *Run
 }
 
 // StartCell opens a cell span (parented to the current suite span, if any)
-// and allocates its progress tap. bench and config label the cell; seed is
-// the chaos seed when fault injection is active (0 otherwise).
-func (r *Run) StartCell(bench, config string, seed uint64) *Cell {
+// for a machine that runs with obs, giving obs a progress tap when it has
+// none (nil obs gets an empty collector). bench and config label the cell;
+// seed is the chaos seed when fault injection is active (0 otherwise).
+func (r *Run) StartCell(bench, config string, seed uint64, obs *metrics.Collector) *Cell {
+	if obs == nil {
+		obs = &metrics.Collector{}
+	}
+	if obs.Tap == nil {
+		obs.Tap = &metrics.ProgressTap{}
+	}
 	s := r.StartSpan("cell", bench+"/"+config, nil)
 	s.Bench = bench
 	s.Config = config
 	s.Seed = seed
-	c := &Cell{Span: s, Tap: &metrics.ProgressTap{}, run: r}
+	c := &Cell{Span: s, Obs: obs, run: r}
 	r.mu.Lock()
 	r.cells[s.ID] = c
 	r.mu.Unlock()
@@ -338,8 +300,9 @@ func (c *Cell) Done(cycles uint64) {
 }
 
 // Fail completes the cell with the simerr-classified outcome, stamps the
-// run/span identity onto the error when it is a *simerr.Error, and dumps
-// the flight recorder. It returns the dump path ("" when no Dir is set).
+// run/span identity onto the error when it is a *simerr.Error, and writes
+// the flight dump after the cell span is journaled. It returns the dump
+// path ("" when no Dir is set).
 func (c *Cell) Fail(err error) string {
 	kind := simerr.KindOf(err)
 	var cycle uint64

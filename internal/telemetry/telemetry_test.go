@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func quietRun(t *testing.T, cfg Config) *Run {
 func TestSpanLifecycle(t *testing.T) {
 	r := quietRun(t, Config{})
 	suite := r.BeginSuite("fig9")
-	c := r.StartCell("mcf", "cfg-12345678", 7)
+	c := r.StartCell("mcf", "cfg-12345678", 7, nil)
 	if c.Span.Parent != suite.ID {
 		t.Fatalf("cell parent %d, want suite span %d", c.Span.Parent, suite.ID)
 	}
@@ -54,16 +55,12 @@ func TestSpanLifecycle(t *testing.T) {
 	if done, failed := r.Counts(); done != 1 || failed != 0 {
 		t.Fatalf("counts %d/%d, want 1/0", done, failed)
 	}
-	got := r.Flight().Recent()
-	if len(got) != 2 || got[0].Kind != "cell" || got[1].Kind != "suite" {
-		t.Fatalf("flight ring %v, want [cell suite]", got)
-	}
 }
 
 func TestCellFailStampsError(t *testing.T) {
 	dir := t.TempDir()
 	r := quietRun(t, Config{Dir: dir})
-	c := r.StartCell("vpr", "cfg-deadbeef", 0)
+	c := r.StartCell("vpr", "cfg-deadbeef", 0, nil)
 	e := simerr.New(simerr.Deadlock, "sta.Run", fmt.Errorf("stuck"))
 	e.Cycle = 1234
 	path := c.Fail(e)
@@ -87,8 +84,80 @@ func TestCellFailStampsError(t *testing.T) {
 	if dump.Run != r.ID || dump.Span != c.Span.ID || dump.Kind != "deadlock" || dump.Cycle != 1234 {
 		t.Fatalf("dump identity wrong: %+v", dump)
 	}
-	if len(dump.Spans) == 0 {
-		t.Fatal("dump carries no span history")
+}
+
+// TestFlightDumpExportsCollector: a failed cell's dump carries its
+// collector's export at the failure cycle in place of its own copies of
+// history, and its run and span IDs find the failed cell span, outcome
+// equal to the dump's kind, in the span journal beside it.
+func TestFlightDumpExportsCollector(t *testing.T) {
+	dir := t.TempDir()
+	r := quietRun(t, Config{Dir: dir})
+	col := metrics.NewCollector(100)
+	var commits uint64
+	col.Registry.RegisterFunc("tu0", "commits", func() uint64 { return commits })
+	col.Sampler.Add("ipc", metrics.PerCycle, func() float64 { return float64(commits) }, nil)
+	c := r.StartCell("mcf", "cfg-9999aaaa", 0, col)
+	for cycle := uint64(1); cycle <= 350; cycle++ {
+		commits += cycle % 3
+		col.MaybeSample(cycle)
+		col.MemLatency.Observe(cycle % 7)
+		col.Publish(cycle, commits, false)
+	}
+	e := simerr.New(simerr.Panic, "sta.Run", fmt.Errorf("injected"))
+	e.Cycle = 350
+	path := c.Fail(e)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"spans", "dropped_spans", "progress", "counters"} {
+		if _, ok := fields[gone]; ok {
+			t.Errorf("dump still has a %q field", gone)
+		}
+	}
+	var want bytes.Buffer
+	if err := col.WriteJSON(&want, 350); err != nil {
+		t.Fatal(err)
+	}
+	var got, exp map[string]any
+	if err := json.Unmarshal(fields["metrics"], &got); err != nil {
+		t.Fatalf("dump metrics: %v", err)
+	}
+	if err := json.Unmarshal(want.Bytes(), &exp); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, exp) {
+		t.Fatalf("dump metrics differ from the collector export:\n got %v\nwant %v", got, exp)
+	}
+	if rows := exp["series"].(map[string]any)["rows"].([]any); len(rows) != 3 {
+		t.Fatalf("export holds %d series rows, want 3 (one per boundary before the failure)", len(rows))
+	}
+
+	var dump FlightDump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "spans.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var s Span
+		if err := json.Unmarshal(line, &s); err != nil {
+			t.Fatalf("bad journal line %q: %v", line, err)
+		}
+		if s.Run == dump.Run && s.ID == dump.Span {
+			found = s.Kind == "cell" && s.Outcome == dump.Kind && dump.Kind == "panic"
+		}
+	}
+	if !found {
+		t.Fatalf("journal holds no cell span %s/%d with outcome %q:\n%s", dump.Run, dump.Span, dump.Kind, journal)
 	}
 }
 
@@ -96,8 +165,8 @@ func TestSpanJournal(t *testing.T) {
 	dir := t.TempDir()
 	r := quietRun(t, Config{Dir: dir})
 	r.BeginSuite("table2")
-	r.StartCell("gzip", "cfg-0badf00d", 0).Done(100)
-	r.StartCell("mesa", "cfg-0badf00d", 0).Fail(fmt.Errorf("boom"))
+	r.StartCell("gzip", "cfg-0badf00d", 0, nil).Done(100)
+	r.StartCell("mesa", "cfg-0badf00d", 0, nil).Fail(fmt.Errorf("boom"))
 	r.EndSuite("ok", nil)
 
 	f, err := os.Open(filepath.Join(dir, "spans.jsonl"))
@@ -128,7 +197,7 @@ func TestConvertSpans(t *testing.T) {
 	dir := t.TempDir()
 	r := quietRun(t, Config{Dir: dir})
 	r.BeginSuite("fig8")
-	r.StartCell("parser", "cfg-11112222", 0).Done(55)
+	r.StartCell("parser", "cfg-11112222", 0, nil).Done(55)
 	r.EndSuite("ok", nil)
 
 	raw, err := os.ReadFile(filepath.Join(dir, "spans.jsonl"))
@@ -194,7 +263,7 @@ func TestSpanLogTornTailNextRun(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "spans.jsonl")
 			first := quietRun(t, Config{Dir: dir})
-			first.StartCell("gzip", "cfg-00000001", 0).Done(10)
+			first.StartCell("gzip", "cfg-00000001", 0, nil).Done(10)
 			first.Close()
 			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
@@ -206,7 +275,7 @@ func TestSpanLogTornTailNextRun(t *testing.T) {
 			f.Close()
 
 			second := quietRun(t, Config{Dir: dir})
-			second.StartCell("mcf", "cfg-00000002", 0).Done(20)
+			second.StartCell("mcf", "cfg-00000002", 0, nil).Done(20)
 			second.Close()
 			raw, err := os.ReadFile(path)
 			if err != nil {
@@ -256,12 +325,12 @@ func TestCloseRendersOnlyItsOwnSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := quietRun(t, Config{Dir: dir})
-	first.StartCell("gzip", "cfg-00000001", 0).Done(10)
+	first.StartCell("gzip", "cfg-00000001", 0, nil).Done(10)
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
 	second := quietRun(t, Config{Dir: dir})
-	second.StartCell("mcf", "cfg-00000002", 0).Done(20)
+	second.StartCell("mcf", "cfg-00000002", 0, nil).Done(20)
 	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -279,12 +348,12 @@ func TestCloseRendersOnlyItsOwnSpans(t *testing.T) {
 func TestPromGroupsFamilies(t *testing.T) {
 	r := quietRun(t, Config{})
 	for i, bench := range []string{"mcf", "vpr"} {
-		c := r.StartCell(bench, "cfg-77778888", 0)
 		reg := metrics.NewRegistry()
 		reg.RegisterFunc("tu0", "commits", func() uint64 { return 5 })
 		reg.RegisterFunc("l1d0", "misses", func() uint64 { return 2 })
-		col := &metrics.Collector{Registry: reg, Tap: c.Tap}
-		col.Publish(uint64(100*(i+1)), 5, []uint64{5}, true)
+		col := &metrics.Collector{Registry: reg}
+		r.StartCell(bench, "cfg-77778888", 0, col)
+		col.Publish(uint64(100*(i+1)), 5, true)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
@@ -310,33 +379,14 @@ func TestPromGroupsFamilies(t *testing.T) {
 	}
 }
 
-func TestFlightRingBound(t *testing.T) {
-	r := quietRun(t, Config{FlightSpans: 4})
-	for i := 0; i < 10; i++ {
-		r.StartSpan("sim", fmt.Sprintf("s%d", i), nil).End("ok", nil)
-	}
-	recent := r.Flight().Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(recent))
-	}
-	if recent[0].Name != "s6" || recent[3].Name != "s9" {
-		t.Fatalf("ring kept %q..%q, want s6..s9", recent[0].Name, recent[3].Name)
-	}
-	if d := r.Flight().Dropped(); d != 6 {
-		t.Fatalf("dropped %d, want 6", d)
-	}
-}
-
 // promLine matches one exposition sample: name{labels} value.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]`)
 
 func TestHTTPEndpoints(t *testing.T) {
 	r := quietRun(t, Config{Addr: "127.0.0.1:0"})
 	r.SetLedger("/tmp/led.jsonl")
-	r.NoteLedgerAppend()
-	r.NoteRetry("harness.metrics", 1, fmt.Errorf("disk full"))
 	r.BeginSuite("fig10")
-	c := r.StartCell("equake", "cfg-33334444", 0)
+	c := r.StartCell("equake", "cfg-33334444", 0, nil)
 	base := "http://" + r.Addr()
 
 	get := func(path string) (string, string) {
@@ -387,8 +437,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`sta_suite_info{run="` + r.ID + `"} 1`,
 		"sta_suite_cells_inflight 1",
-		"sta_suite_retries_total 1",
-		`sta_suite_ledger_appends_total{path="/tmp/led.jsonl"} 1`,
 		`sta_cell_cycle{bench="equake",config="cfg-33334444",span="` + fmt.Sprint(c.Span.ID) + `"}`,
 	} {
 		if !strings.Contains(metricsBody, want) {
@@ -435,7 +483,7 @@ func TestRunsRaceWithCompletion(t *testing.T) {
 				return
 			default:
 			}
-			c := r.StartCell("mcf", "cfg-55556666", 0)
+			c := r.StartCell("mcf", "cfg-55556666", 0, nil)
 			if i%2 == 0 {
 				c.Done(uint64(i))
 			} else {

@@ -2,7 +2,7 @@
 # Telemetry smoke test: run a scaled-down sweep with the live introspection
 # server attached, curl every endpoint while cells are in flight, assert
 # the Prometheus exposition is well-formed, then force a failure and check
-# the flight recorder dumped. Artifacts (the sweeps' -out files: span
+# each flight dump against the span journal beside it. Artifacts (the sweeps' -out files: span
 # journal and its rendered trace, flight dumps, per-cell reports; plus the
 # curled endpoint bodies) land in the directory given by $1 (default: a
 # temp dir).
@@ -74,17 +74,37 @@ echo "live sweep finished; $(wc -l < "$out/spans.jsonl") spans journaled"
 python3 -m json.tool "$out/spans.trace.json" > /dev/null
 
 # Forced failure: seeded chaos panics every cell; each must produce a
-# flight-recorder dump next to the span journal.
+# flight dump next to the span journal.
 if "$work/experiments" -run fig8 -workers 2 -chaos-seed 9 -chaos-panic 1 \
     -out "$out" 2>> "$out/suite.log"; then
     echo "FAIL: chaos suite unexpectedly succeeded" >&2
     exit 1
 fi
 ls "$out"/flight-*.json > /dev/null
-for f in "$out"/flight-*.json; do
-    python3 -m json.tool "$f" > /dev/null
-done
+# Each dump holds the machine snapshot and the cell's metrics export, and
+# its run and span key into spans.jsonl: the failed cell span's outcome is
+# the dump's kind.
+python3 - "$out" <<'EOF'
+import glob, json, sys
+out = sys.argv[1]
+spans = {}
+for line in open(f"{out}/spans.jsonl"):
+    try:
+        s = json.loads(line)
+    except ValueError:
+        continue
+    spans[(s.get("run"), s.get("id"))] = s
+dumps = glob.glob(f"{out}/flight-*.json")
+for f in dumps:
+    d = json.load(open(f))
+    assert d.get("tus"), f"{f}: no tus"
+    assert "counters" in d.get("metrics", {}), f"{f}: no metrics.counters"
+    s = spans.get((d["run"], d["span"]))
+    assert s is not None, f"{f}: span {d['run']}/{d['span']} not in spans.jsonl"
+    assert s.get("outcome") == d["kind"], (f, s.get("outcome"), d["kind"])
+print(f"{len(dumps)} flight dumps match the span journal")
+EOF
 grep -q 'flight=' "$out/suite.log"
 
-echo "PASS: telemetry endpoints healthy, Prometheus output well-formed, flight recorder dumped"
+echo "PASS: telemetry endpoints healthy, Prometheus output well-formed, flight dumps match the span journal"
 echo "artifacts in $out"
