@@ -1,8 +1,10 @@
 // Package bpred implements the branch-prediction hardware of one thread
-// unit: a bimodal (2-bit saturating counter) direction predictor, a
-// set-associative branch target buffer, and a return-address stack. The
-// structures match the sim-outorder defaults the paper's SIMCA simulator
-// inherits (§4.1: 4-way, 1024-entry BTB).
+// unit: a direction predictor (bimodal 2-bit saturating counters by
+// default) and a return-address stack. No branch target buffer is
+// simulated: a direct branch or jump takes its target from the decoded
+// immediate at fetch, which amounts to a perfect BTB, and JR is predicted
+// by the RAS. The sizes match the sim-outorder defaults the paper's SIMCA
+// simulator inherits (§4.1).
 package bpred
 
 import "fmt"
@@ -12,9 +14,14 @@ type Config struct {
 	Dir            DirKind // direction scheme (default bimodal)
 	BimodalEntries int     // direction table size (power of two)
 	HistoryBits    int     // global history length for gshare/comb
-	BTBEntries     int     // total BTB entries
-	BTBAssoc       int
-	RASEntries     int
+	// BTBEntries and BTBAssoc record the paper's BTB geometry (§4.1:
+	// 4-way, 1024 entries) in the configuration's identity, which memo
+	// keys and archive addresses render whole with %+v, so neither the
+	// fields nor their order may change. New validates them, but nothing
+	// simulates a BTB.
+	BTBEntries int
+	BTBAssoc   int
+	RASEntries int
 }
 
 // Default returns the configuration used throughout the paper.
@@ -32,20 +39,13 @@ func Default() Config {
 // Predictor is one thread unit's branch predictor. Not safe for concurrent
 // use.
 type Predictor struct {
-	cfg     Config
-	dir     DirPredictor
-	btbTags [][]uint64
-	btbTgts [][]int
-	btbLRU  [][]uint64
-	btbClk  uint64
-	ras     []int
-	rasTop  int
+	dir    DirPredictor
+	ras    []int
+	rasTop int
 
 	// Statistics.
 	Lookups     uint64
 	Mispredicts uint64
-	BTBHits     uint64
-	BTBMisses   uint64
 }
 
 // New builds a predictor; sizes must be powers of two where indexed.
@@ -71,28 +71,7 @@ func New(cfg Config) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Predictor{
-		cfg:     cfg,
-		dir:     dir,
-		btbTags: make([][]uint64, sets),
-		btbTgts: make([][]int, sets),
-		btbLRU:  make([][]uint64, sets),
-		ras:     make([]int, cfg.RASEntries),
-	}
-	// One backing array per BTB field, cut into capped per-set slices.
-	tags := make([]uint64, cfg.BTBEntries)
-	tgts := make([]int, cfg.BTBEntries)
-	lru := make([]uint64, cfg.BTBEntries)
-	for j := range tags {
-		tags[j] = ^uint64(0)
-	}
-	for i, a := 0, cfg.BTBAssoc; i < sets; i++ {
-		lo, hi := i*a, (i+1)*a
-		p.btbTags[i] = tags[lo:hi:hi]
-		p.btbTgts[i] = tgts[lo:hi:hi]
-		p.btbLRU[i] = lru[lo:hi:hi]
-	}
-	return p, nil
+	return &Predictor{dir: dir, ras: make([]int, cfg.RASEntries)}, nil
 }
 
 // PredictDirection returns the predicted direction for the branch at pc.
@@ -125,51 +104,6 @@ func (p *Predictor) WarmCall(ret int) { p.PushRAS(ret) }
 
 // WarmRet pops the RAS (see WarmCall); an empty stack is a no-op.
 func (p *Predictor) WarmRet() { p.PopRAS() }
-
-// LookupTarget consults the BTB for pc's branch target.
-func (p *Predictor) LookupTarget(pc int) (int, bool) {
-	sets := len(p.btbTags)
-	set := pc & (sets - 1)
-	tag := uint64(pc)
-	for j := range p.btbTags[set] {
-		if p.btbTags[set][j] == tag {
-			p.btbClk++
-			p.btbLRU[set][j] = p.btbClk
-			p.BTBHits++
-			return p.btbTgts[set][j], true
-		}
-	}
-	p.BTBMisses++
-	return 0, false
-}
-
-// UpdateTarget installs pc -> target in the BTB.
-func (p *Predictor) UpdateTarget(pc, target int) {
-	sets := len(p.btbTags)
-	set := pc & (sets - 1)
-	tag := uint64(pc)
-	vi := 0
-	for j := range p.btbTags[set] {
-		if p.btbTags[set][j] == tag {
-			vi = j
-			goto install
-		}
-	}
-	for j := range p.btbTags[set] {
-		if p.btbTags[set][j] == ^uint64(0) {
-			vi = j
-			goto install
-		}
-		if p.btbLRU[set][j] < p.btbLRU[set][vi] {
-			vi = j
-		}
-	}
-install:
-	p.btbClk++
-	p.btbTags[set][vi] = tag
-	p.btbTgts[set][vi] = target
-	p.btbLRU[set][vi] = p.btbClk
-}
 
 // PushRAS records a return address on a call.
 func (p *Predictor) PushRAS(ret int) {

@@ -85,40 +85,6 @@ func TestAccuracyOnBiasedStream(t *testing.T) {
 	}
 }
 
-func TestBTBHitAfterInstall(t *testing.T) {
-	p := mustNew(t, Default())
-	if _, ok := p.LookupTarget(12); ok {
-		t.Fatal("cold BTB hit")
-	}
-	p.UpdateTarget(12, 99)
-	tgt, ok := p.LookupTarget(12)
-	if !ok || tgt != 99 {
-		t.Fatalf("BTB lookup = %d,%v", tgt, ok)
-	}
-	// Re-install with a new target replaces.
-	p.UpdateTarget(12, 7)
-	tgt, _ = p.LookupTarget(12)
-	if tgt != 7 {
-		t.Errorf("BTB target after update = %d", tgt)
-	}
-}
-
-func TestBTBLRUReplacement(t *testing.T) {
-	// 4 entries, 4-way => 1 set.
-	p := mustNew(t, Config{BimodalEntries: 16, BTBEntries: 4, BTBAssoc: 4, RASEntries: 4})
-	for pc := 0; pc < 4; pc++ {
-		p.UpdateTarget(pc, pc*10)
-	}
-	p.LookupTarget(0) // 0 is MRU
-	p.UpdateTarget(100, 1000)
-	if _, ok := p.LookupTarget(1); ok {
-		t.Error("LRU entry survived replacement")
-	}
-	if _, ok := p.LookupTarget(0); !ok {
-		t.Error("MRU entry was replaced")
-	}
-}
-
 func TestRAS(t *testing.T) {
 	p := mustNew(t, Default())
 	if _, ok := p.PopRAS(); ok {

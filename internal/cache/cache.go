@@ -41,7 +41,9 @@ type line struct {
 // Cache is a set-associative tag array with true LRU replacement. It is not
 // safe for concurrent use; each simulated cache belongs to one goroutine.
 type Cache struct {
-	sets       [][]line
+	// lines is the tag array, set-major: set s owns
+	// lines[s*assoc : (s+1)*assoc].
+	lines      []line
 	setMask    uint64
 	blockShift uint
 	blockBytes int
@@ -84,15 +86,10 @@ func New(p Params) (*Cache, error) {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nsets)
 	}
 	c := &Cache{
-		sets:       make([][]line, nsets),
+		lines:      make([]line, nsets*assoc),
 		setMask:    uint64(nsets - 1),
 		blockBytes: p.BlockBytes,
 		assoc:      assoc,
-	}
-	// One backing array, cut into capped per-set slices.
-	lines := make([]line, nsets*assoc)
-	for i := range c.sets {
-		c.sets[i] = lines[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
 	for bs := p.BlockBytes; bs > 1; bs >>= 1 {
 		c.blockShift++
@@ -116,7 +113,7 @@ func (c *Cache) ShareGeneration(g *uint64) { c.gen = g }
 func (c *Cache) BlockBytes() int { return c.blockBytes }
 
 // Blocks returns the total line count.
-func (c *Cache) Blocks() int { return len(c.sets) * c.assoc }
+func (c *Cache) Blocks() int { return len(c.lines) }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
@@ -131,27 +128,32 @@ func (c *Cache) NextBlock(addr uint64) uint64 {
 	return c.BlockAddr(addr) + uint64(c.blockBytes)
 }
 
-func (c *Cache) find(addr uint64) (*line, []line) {
+// set returns the ways of the set that block tag maps to.
+func (c *Cache) set(tag uint64) []line {
+	lo := int(tag&c.setMask) * c.assoc
+	return c.lines[lo : lo+c.assoc : lo+c.assoc]
+}
+
+func (c *Cache) find(addr uint64) *line {
 	tag := addr >> c.blockShift
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			return &set[i], set
+			return &set[i]
 		}
 	}
-	return nil, set
+	return nil
 }
 
 // Probe reports whether addr's block is resident, without touching LRU
 // state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	ln, _ := c.find(addr)
-	return ln != nil
+	return c.find(addr) != nil
 }
 
 // Flags returns the metadata flags of addr's block, if resident.
 func (c *Cache) Flags(addr uint64) (uint8, bool) {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return 0, false
 	}
@@ -163,7 +165,7 @@ func (c *Cache) Flags(addr uint64) (uint8, bool) {
 // On a miss it returns false. Statistics are updated either way.
 func (c *Cache) Access(addr uint64, write bool) (uint8, bool) {
 	c.Accesses++
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		c.Misses++
 		return 0, false
@@ -185,7 +187,7 @@ func (c *Cache) Access(addr uint64, write bool) (uint8, bool) {
 // statistics (used by wrong-execution hits, which must not perturb the
 // demand-provenance metadata).
 func (c *Cache) Touch(addr uint64) bool {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return false
 	}
@@ -215,7 +217,7 @@ func (v Victim) Untouched() bool {
 // the set if necessary. Inserting an already-resident block just refreshes
 // its LRU state and ORs the flags. The evicted block, if any, is returned.
 func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
-	if ln, _ := c.find(addr); ln != nil {
+	if ln := c.find(addr); ln != nil {
 		c.clock++
 		ln.used = c.clock
 		ln.flags |= flags
@@ -223,7 +225,7 @@ func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
 		return Victim{}
 	}
 	tag := addr >> c.blockShift
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	vi := 0
 	for i := range set {
 		if !set[i].valid {
@@ -253,7 +255,7 @@ func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
 // Remove extracts addr's block from the cache, returning its metadata.
 // Used for the L1<->WEC swap on a WEC hit.
 func (c *Cache) Remove(addr uint64) (flags uint8, dirty, ok bool) {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return 0, false, false
 	}
@@ -271,7 +273,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // SetDirty marks a resident block dirty (sequential-mode update coherence).
 func (c *Cache) SetDirty(addr uint64) bool {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return false
 	}
@@ -281,7 +283,7 @@ func (c *Cache) SetDirty(addr uint64) bool {
 
 // Dirty reports whether addr's block is resident and dirty.
 func (c *Cache) Dirty(addr uint64) bool {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	return ln != nil && ln.dirty
 }
 
@@ -289,11 +291,9 @@ func (c *Cache) Dirty(addr uint64) bool {
 // invariant checks).
 func (c *Cache) ResidentBlocks() []uint64 {
 	var out []uint64
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.valid {
-				out = append(out, ln.tag<<c.blockShift)
-			}
+	for _, ln := range c.lines {
+		if ln.valid {
+			out = append(out, ln.tag<<c.blockShift)
 		}
 	}
 	return out
@@ -301,11 +301,7 @@ func (c *Cache) ResidentBlocks() []uint64 {
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	*c.gen++
 	c.Accesses, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0

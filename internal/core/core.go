@@ -237,8 +237,10 @@ type Core struct {
 	imem *mem.IUnit
 	bp   *bpred.Predictor
 
-	// code is the program decoded once at New, plus a trailing HALT uop
-	// that every out-of-range fetch PC maps to (see isa.DecodeUops).
+	// code is the program's shared decode (isa.Program.Uops), read-only
+	// and the same array in every core and functional engine over the
+	// program, plus a trailing HALT uop that every out-of-range fetch PC
+	// maps to (see isa.DecodeUops).
 	code  []isa.Uop
 	entry int
 
@@ -321,7 +323,7 @@ func New(cfg Config, prog *isa.Program, imem *mem.IUnit, dmem DMem, env Env) (*C
 		env:       env,
 		imem:      imem,
 		bp:        bp,
-		code:      isa.DecodeUops(prog.Insts),
+		code:      prog.Uops(),
 		entry:     prog.Entry,
 		rob:       make([]robEntry, cfg.ROBSize),
 		lsqBuf:    make([]int, cfg.LSQSize),

@@ -49,8 +49,9 @@ type Counts struct {
 // engine, which is what keeps the golden model and the fast-forward path
 // from ever diverging.
 //
-// The engine decodes Prog the first time StepN runs on it, so a program
-// must not be modified once an engine has stepped it.
+// The engine runs Prog's shared decode (isa.Program.Uops), which the
+// first core or engine to ask makes, so a program must not be modified
+// once an engine has stepped it.
 type Engine struct {
 	Prog *isa.Program
 	Mem  *memimg.Image
@@ -73,11 +74,6 @@ type Engine struct {
 	Counts Counts
 
 	lastBlock int
-
-	// uops is isa.DecodeUops of decoded.Insts; its trailing HALT sentinel
-	// stands in for every out-of-range pc.
-	uops    []isa.Uop
-	decoded *isa.Program
 }
 
 // Reset points the engine at pc with a clean region state, keeping the
@@ -102,12 +98,10 @@ func (e *Engine) StepN(n int64) (int64, error) {
 	if e.Halted || n <= 0 {
 		return 0, nil
 	}
-	if e.decoded != e.Prog {
-		e.uops = isa.DecodeUops(e.Prog.Insts)
-		e.decoded = e.Prog
-	}
 	var (
-		uops      = e.uops
+		// Prog's shared decode; its trailing HALT sentinel stands in for
+		// every out-of-range pc.
+		uops      = e.Prog.Uops()
 		halt      = uint(len(uops) - 1) // the HALT sentinel
 		img       = e.Mem
 		ir        = e.Int

@@ -4,15 +4,18 @@
 // target stores, and stage markers).
 //
 // Instructions are kept in decoded form (Inst) for simulation speed, and
-// the timing core and the functional interpreter predecode them once more
-// into Uops that carry every op property they consult (see uop.go); a
-// fixed-width binary encoding is provided for tooling and tests (see
-// encode.go). Branch and jump targets are absolute instruction indices,
-// resolved by the assembler. Data addresses are byte addresses into the
-// simulated data memory.
+// each program is predecoded once more, on first use, into Uops that carry
+// every op property the timing core and the functional interpreter consult
+// (see Program.Uops and uop.go); a fixed-width binary encoding is provided
+// for tooling and tests (see encode.go). Branch and jump targets are
+// absolute instruction indices, resolved by the assembler. Data addresses
+// are byte addresses into the simulated data memory.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Op enumerates every operation in the ISA.
 type Op uint8
@@ -334,12 +337,26 @@ func (in Inst) String() string {
 
 // Program is an assembled unit ready for simulation: a flat instruction
 // array addressed by instruction index, an initial data image, and symbols.
+// A Program is handed around by pointer; Insts must not change once Uops
+// has been called.
 type Program struct {
 	Insts   []Inst
 	Entry   int
 	Symbols map[string]int64 // label -> instruction index or data address
 	// Data holds the initial contents of data memory as (addr, bytes) runs.
 	Data []DataSeg
+
+	decodeOnce sync.Once
+	uops       []Uop
+}
+
+// Uops returns DecodeUops(p.Insts), decoded on the first call and shared
+// by every later caller: each core of a machine and each functional engine
+// over p reads the one array. Callers must not modify it. Safe for
+// concurrent use.
+func (p *Program) Uops() []Uop {
+	p.decodeOnce.Do(func() { p.uops = DecodeUops(p.Insts) })
+	return p.uops
 }
 
 // DataSeg is one initialized run of data memory.

@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -61,6 +63,37 @@ func TestDecodeUopsSentinel(t *testing.T) {
 		got := uops[min(uint(pc), uint(len(p.Insts)))]
 		if want := DecodeUop(p.At(pc)); got != want {
 			t.Errorf("pc %d: uop %+v, Program.At decodes to %+v", pc, got, want)
+		}
+	}
+}
+
+// TestUopsSharedAcrossGoroutines calls Program.Uops from several goroutines
+// at once: every caller must get the one backing array, equal to
+// DecodeUops of the program. Run under -race it also checks the lazy
+// decode is published safely.
+func TestUopsSharedAcrossGoroutines(t *testing.T) {
+	p := &Program{Insts: []Inst{
+		{Op: ADDI, Rd: 1, Imm: 5}, {Op: LD, Rd: 2, Rs1: 1, Imm: 8},
+		{Op: BNE, Rs1: 2, Rs2: 0, Imm: 0}, {Op: FADD, Rd: 3, Rs1: 1, Rs2: 2},
+	}}
+	const n = 8
+	got := make([][]Uop, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.Uops()
+		}()
+	}
+	wg.Wait()
+	want := DecodeUops(p.Insts)
+	for i, u := range got {
+		if !reflect.DeepEqual(u, want) {
+			t.Fatalf("caller %d: Uops() = %+v, want DecodeUops %+v", i, u, want)
+		}
+		if unsafe.SliceData(u) != unsafe.SliceData(got[0]) {
+			t.Errorf("caller %d got its own decode, not the shared array", i)
 		}
 	}
 }

@@ -2,12 +2,15 @@ package sta
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/sample"
 )
 
 // scaleLoop builds a parallel loop with independent iterations:
@@ -125,6 +128,33 @@ func cfgTU(n int) Config {
 	cfg.NumTUs = n
 	cfg.MaxCycles = 20_000_000
 	return cfg
+}
+
+// TestProgramDecodedOnce checks that a machine decodes its program once:
+// every core of an 8-TU machine and the sampled run's functional engine
+// read the one array Program.Uops returns.
+func TestProgramDecodedOnce(t *testing.T) {
+	p := scaleLoop(t, 64)
+	m, err := New(cfgTU(8), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Sample = sample.Config{WarmupInsts: 100, MeasureInsts: 200, PeriodInsts: 1000}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := uintptr(unsafe.Pointer(unsafe.SliceData(p.Uops())))
+	for i := range m.tus {
+		// core.Core keeps its decode unexported; reflect reads the
+		// slice's data pointer without copying it.
+		if got := reflect.ValueOf(m.tus[i].core).Elem().FieldByName("code").Pointer(); got != want {
+			t.Errorf("TU %d decodes its own copy of the program", i)
+		}
+	}
+	// The engine keeps no decode of its own: it runs Prog.Uops.
+	if m.eng == nil || m.eng.Prog != p {
+		t.Error("the sampled run's functional engine is not over the machine's program")
+	}
 }
 
 func TestScaleLoopMatchesInterpAcrossTUCounts(t *testing.T) {

@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -50,31 +51,31 @@ func pinCases() []pinCase {
 		}
 	}
 	return []pinCase{
-		{"vpr/wth-wp-wec/8tu", "vpr", config.WTHWPWEC, 8, nil, 107076, 429, nil},
-		{"gzip/wth-wp-wec/8tu", "gzip", config.WTHWPWEC, 8, nil, 69415, 456, nil},
-		{"mcf/wth-wp-wec/8tu", "mcf", config.WTHWPWEC, 8, nil, 148836, 483, nil},
-		{"parser/wth-wp-wec/8tu", "parser", config.WTHWPWEC, 8, nil, 138473, 497, nil},
-		{"equake/wth-wp-wec/8tu", "equake", config.WTHWPWEC, 8, nil, 160259, 498, nil},
-		{"mesa/wth-wp-wec/8tu", "mesa", config.WTHWPWEC, 8, nil, 318566, 448, nil},
-		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 446, nil},
-		{"gzip/orig/1tu", "gzip", config.Orig, 1, nil, 61747, 154, nil},
+		{"vpr/wth-wp-wec/8tu", "vpr", config.WTHWPWEC, 8, nil, 107076, 348, nil},
+		{"gzip/wth-wp-wec/8tu", "gzip", config.WTHWPWEC, 8, nil, 69415, 380, nil},
+		{"mcf/wth-wp-wec/8tu", "mcf", config.WTHWPWEC, 8, nil, 148836, 402, nil},
+		{"parser/wth-wp-wec/8tu", "parser", config.WTHWPWEC, 8, nil, 138473, 416, nil},
+		{"equake/wth-wp-wec/8tu", "equake", config.WTHWPWEC, 8, nil, 160259, 417, nil},
+		{"mesa/wth-wp-wec/8tu", "mesa", config.WTHWPWEC, 8, nil, 318566, 367, nil},
+		{"mcf/orig/8tu", "mcf", config.Orig, 8, nil, 186528, 373, nil},
+		{"gzip/orig/1tu", "gzip", config.Orig, 1, nil, 61747, 144, nil},
 		{"mcf/wth-wp-wec/8tu+metrics", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Obs = metrics.NewCollector(10000) }, 148836, 963, nil},
+			func(m *sta.Machine) { m.Obs = metrics.NewCollector(10000) }, 148836, 882, nil},
 		{"mcf/wth-wp-wec/8tu+tap", "mcf", config.WTHWPWEC, 8,
-			func(m *sta.Machine) { m.Obs = &metrics.Collector{Tap: &metrics.ProgressTap{}} }, 148836, 487, nil},
-		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 876, nil},
-		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 1578, nil},
-		{"mcf/wth-wp-wec/8tu+sampled", "mcf", config.WTHWPWEC, 8, sampled(0), 18546, 376, &stats.Sampled{
+			func(m *sta.Machine) { m.Obs = &metrics.Collector{Tap: &metrics.ProgressTap{}} }, 148836, 404, nil},
+		{"mcf/wth-wp-wec/16tu", "mcf", config.WTHWPWEC, 16, nil, 78534, 715, nil},
+		{"mcf/wth-wp-wec/32tu", "mcf", config.WTHWPWEC, 32, nil, 75005, 1257, nil},
+		{"mcf/wth-wp-wec/8tu+sampled", "mcf", config.WTHWPWEC, 8, sampled(0), 18546, 294, &stats.Sampled{
 			EstCycles: 79319.79390432728, EstCyclesLo: 77024.95789291285, EstCyclesHi: 82224.87707692308,
 			IPC: 2.4419900497512437, IPCLo: 2.3305844388669774, IPCHi: 2.5378188214599824,
 			L1DMiss: 0.015440877691995123, L1DMissLo: 0.0009615384615384616, L1DMissHi: 0.04786990380210719,
 		}},
-		{"mcf/wth-wp-wec/8tu+sampled-seed99", "mcf", config.WTHWPWEC, 8, sampled(99), 18546, 376, &stats.Sampled{
+		{"mcf/wth-wp-wec/8tu+sampled-seed99", "mcf", config.WTHWPWEC, 8, sampled(99), 18546, 294, &stats.Sampled{
 			EstCycles: 79319.79390432728, EstCyclesLo: 77028.45158605382, EstCyclesHi: 82224.87707692308,
 			IPC: 2.4419900497512437, IPCLo: 2.3305844388669774, IPCHi: 2.537667214268951,
 			L1DMiss: 0.015440877691995123, L1DMissLo: 0.0009615384615384616, L1DMissHi: 0.04809894640403115,
 		}},
-		{"cycle-loop/1tu", "", "", 1, nil, 100423, 46, nil},
+		{"cycle-loop/1tu", "", "", 1, nil, 100423, 36, nil},
 	}
 }
 
@@ -162,5 +163,53 @@ func TestRunCyclesAndAllocsPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewBytesPinned pins the heap bytes one sta.New allocates for the
+// headline mcf wth-wp-wec machine at 8 and 32 TUs: the per-TU branch
+// hardware, caches and reorder buffer, which multiply with the thread
+// count. The program's decode is shared and made by the warm-up call, so
+// it is not counted. The bytes may not exceed the recorded budget by more
+// than 10%.
+func TestNewBytesPinned(t *testing.T) {
+	if sta.RaceMode {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One P, as testing.AllocsPerRun uses, keeps other goroutines'
+	// allocations out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		tus   int
+		bytes uint64
+	}{{8, 542707}, {32, 1289328}} {
+		cfg := config.Main(c.tus)
+		if err := config.Apply(config.WTHWPWEC, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		newMachine := func() {
+			if _, err := sta.New(cfg, prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newMachine()
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			newMachine()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; float64(got) > float64(c.bytes)*1.10 {
+			t.Errorf("%d TUs: sta.New allocates %d bytes, budget %d (+10%%)", c.tus, got, c.bytes)
+		}
 	}
 }
