@@ -60,6 +60,7 @@ import (
 	"repro/internal/runstore"
 	"repro/internal/sample"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/serve"
 )
 
 func main() {
@@ -154,21 +155,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *telemetryAddr != "" || *out != "" {
 		var err error
 		tr, err = telemetry.Start(telemetry.Config{
-			Addr: *telemetryAddr,
-			Dir:  *out,
-			Log:  slog.New(slog.NewTextHandler(stderr, nil)),
+			Dir: *out,
+			Log: slog.New(slog.NewTextHandler(stderr, nil)),
 		})
 		if err != nil {
 			return fail(stderr, err)
+		}
+		var srv *serve.Server
+		if *telemetryAddr != "" {
+			if srv, err = serve.Start(tr, *telemetryAddr); err != nil {
+				tr.Close()
+				return fail(stderr, err)
+			}
 		}
 		defer func() {
 			if err := tr.Close(); err != nil && code == 0 {
 				code = fail(stderr, err)
 			}
+			if srv != nil {
+				srv.Close()
+			}
 		}()
 		r.Telemetry = tr
 		if *out != "" {
-			if err := tr.StartProfile(); err != nil {
+			// A served run leaves CPU profiling to /debug/pprof/profile.
+			if err := tr.StartProfile(*telemetryAddr == ""); err != nil {
 				return fail(stderr, err)
 			}
 		}

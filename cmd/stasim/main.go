@@ -58,6 +58,7 @@ import (
 	"repro/internal/simerr"
 	"repro/internal/sta"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/serve"
 	"repro/internal/trace"
 	"repro/internal/wgen"
 	"repro/internal/workload"
@@ -215,16 +216,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var cell *telemetry.Cell
 	if *telemetryAddr != "" || *out != "" {
 		tr, err = telemetry.Start(telemetry.Config{
-			Addr: *telemetryAddr,
-			Dir:  *out,
-			Log:  slog.New(slog.NewTextHandler(stderr, nil)),
+			Dir: *out,
+			Log: slog.New(slog.NewTextHandler(stderr, nil)),
 		})
 		if err != nil {
 			return fail(err)
 		}
+		var srv *serve.Server
+		if *telemetryAddr != "" {
+			if srv, err = serve.Start(tr, *telemetryAddr); err != nil {
+				tr.Close()
+				return fail(err)
+			}
+		}
 		defer func() {
 			if err := tr.Close(); err != nil && code == 0 {
 				code = fail(err)
+			}
+			if srv != nil {
+				srv.Close()
 			}
 		}()
 	}
@@ -232,7 +242,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var ev *os.File
 	var events *bufio.Writer
 	if *out != "" {
-		if err := tr.StartProfile(); err != nil {
+		// A served run leaves CPU profiling to /debug/pprof/profile.
+		if err := tr.StartProfile(*telemetryAddr == ""); err != nil {
 			return fail(err)
 		}
 		ev, err = os.Create(filepath.Join(*out, "events.log"))

@@ -78,8 +78,8 @@ type Runner struct {
 	ArchiveRev string
 	// Telemetry, when non-nil, scopes this runner's work under a live
 	// telemetry run: every fresh cell opens a span and publishes progress
-	// through its collector's metrics.ProgressTap (visible on the run's
-	// HTTP introspection server), failures stamp the run/span identity
+	// through its collector's metrics.ProgressTap (visible in the run's
+	// /metrics and /runs documents), failures stamp the run/span identity
 	// onto their errors and write a flight dump, and suite progress is
 	// logged structurally instead of through Verbose.
 	Telemetry *telemetry.Run

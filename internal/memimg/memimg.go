@@ -8,7 +8,7 @@ import (
 	"encoding/binary"
 	"hash/crc64"
 	"math"
-	"sort"
+	"slices"
 )
 
 // PageBits is log2 of the page size used for the sparse backing store.
@@ -161,7 +161,7 @@ func (m *Image) Checksum() uint64 {
 		}
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	var sum uint64
 	var hdr [8]byte
 	for _, pn := range pns {

@@ -9,27 +9,27 @@ import (
 	"repro/internal/runstore"
 )
 
-// StartProfile profiles the simulator itself for the rest of the run: a
-// CPU profile into Dir/cpu.pprof, and on Close a heap profile into
-// Dir/heap.pprof. Go allows one CPU profile per process, so a run that
-// serves /debug/pprof leaves CPU profiling to that endpoint and writes no
-// cpu.pprof. Call it at most once, on a run with a Dir.
-func (r *Run) StartProfile() error {
-	var cpu *os.File
-	if r.server == nil {
+// StartProfile profiles the simulator itself for the rest of the run: on
+// Close a heap profile into Dir/heap.pprof, and with cpu set a CPU
+// profile into Dir/cpu.pprof. Go allows one CPU profile per process, so a
+// caller that serves /debug/pprof passes cpu false and leaves CPU
+// profiling to that endpoint. Call it at most once, on a run with a Dir.
+func (r *Run) StartProfile(cpu bool) error {
+	var cpuFile *os.File
+	if cpu {
 		var err error
-		if cpu, err = os.Create(filepath.Join(r.cfg.Dir, "cpu.pprof")); err != nil {
+		if cpuFile, err = os.Create(filepath.Join(r.cfg.Dir, "cpu.pprof")); err != nil {
 			return err
 		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
 			return err
 		}
 	}
 	r.stopProfile = func() error {
-		if cpu != nil {
+		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
+			if err := cpuFile.Close(); err != nil {
 				return err
 			}
 		}

@@ -66,8 +66,8 @@ func (r *Run) StartSpan(kind, name string, parent *Span) *Span {
 func (s *Span) End(outcome string, err error) { s.EndAt(0, outcome, err) }
 
 // EndAt is End plus the final simulated cycle (0 leaves EndCycle alone).
-// All mutable span fields are written under the run mutex, so the HTTP
-// handlers can copy in-flight spans race-free.
+// All mutable span fields are written under the run mutex, so WriteRuns
+// can copy in-flight spans race-free.
 func (s *Span) EndAt(endCycle uint64, outcome string, err error) {
 	if s == nil || s.run == nil {
 		return

@@ -11,10 +11,12 @@
 //     Close, the run's spans are rendered as a Chrome trace-event/Perfetto
 //     timeline (spans.trace.json) that loads beside the cycle-level
 //     timeline from internal/trace.
-//   - an HTTP introspection server (opt-in): /metrics in Prometheus text
-//     format (suite gauges plus each live cell's bridged metrics
-//     registry), /runs as live JSON of in-flight spans, /healthz, and the
-//     standard pprof handlers.
+//   - live documents: WriteProm renders the Prometheus text exposition
+//     (suite gauges plus each live cell's bridged metrics registry) and
+//     WriteRuns the JSON of in-flight spans. Both write to an io.Writer;
+//     the HTTP server that serves them is package telemetry/serve, which
+//     only the CLIs import, so a program that embeds the harness links
+//     no network stack.
 //   - flight dumps: whenever a cell panics, deadlocks, or trips the
 //     watchdog, a JSON dump beside the span journal records the failure,
 //     the per-TU machine snapshot and the cell collector's metrics export;
@@ -26,19 +28,18 @@
 // metrics.ProgressTap of its collector (a Cell's Obs), which costs one
 // untaken nil check per run-loop iteration when detached. Everything
 // here is safe for concurrent use: the
-// publishing side is the harness worker pool, the reading side the HTTP
-// server.
+// publishing side is the harness worker pool, the reading side the
+// live-document writers.
 package telemetry
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,9 +53,6 @@ import (
 
 // Config configures a telemetry Run.
 type Config struct {
-	// Addr is the HTTP introspection listen address ("" disables the
-	// server). Use "127.0.0.1:0" to pick a free port; Run.Addr reports it.
-	Addr string
 	// Dir receives the span JSONL (spans.jsonl), its rendered trace
 	// (spans.trace.json) and flight dumps ("" disables the files).
 	Dir string
@@ -91,24 +89,19 @@ type Run struct {
 	spans     *journal.Journal // spans.jsonl; nil without a Dir
 	spansFrom int64            // journal size at Start: this run's spans follow
 
-	server *httpServer
-
 	stopProfile func() error // set by StartProfile; Close calls it
 }
 
 // NewRunID returns a unique, sortable run identifier: UTC timestamp plus
-// random tail.
+// random tail. The tail only separates runs started in the same second,
+// so the runtime's per-process-seeded generator serves; it needs no
+// cryptographic strength.
 func NewRunID() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		binary.LittleEndian.PutUint32(b[:], uint32(time.Now().UnixNano()))
-	}
-	return time.Now().UTC().Format("20060102-150405") + fmt.Sprintf("-%08x", binary.BigEndian.Uint32(b[:]))
+	return time.Now().UTC().Format("20060102-150405") + fmt.Sprintf("-%08x", rand.Uint32())
 }
 
-// Start opens a telemetry run: allocates the run ID, opens the span JSONL
-// (when Dir is set), and starts the HTTP server (when Addr is set). Close
-// the run when the suite finishes.
+// Start opens a telemetry run: allocates the run ID and opens the span
+// JSONL (when Dir is set). Close the run when the suite finishes.
 func Start(cfg Config) (*Run, error) {
 	base := cfg.Log
 	if base == nil {
@@ -140,35 +133,17 @@ func Start(cfg Config) (*Run, error) {
 			r.spansFrom = fi.Size() // else Close reads the whole journal
 		}
 	}
-	if cfg.Addr != "" {
-		srv, err := newHTTPServer(r, cfg.Addr)
-		if err != nil {
-			if r.spans != nil {
-				r.spans.Close()
-			}
-			return nil, err
-		}
-		r.server = srv
-		r.Log.Info("telemetry server listening", "addr", srv.addr())
-	}
 	return r, nil
-}
-
-// Addr returns the HTTP server's actual listen address ("" when disabled).
-func (r *Run) Addr() string {
-	if r.server == nil {
-		return ""
-	}
-	return r.server.addr()
 }
 
 // Dir returns the telemetry output directory ("" when disabled).
 func (r *Run) Dir() string { return r.cfg.Dir }
 
 // Close ends the run: any still-open suite span is closed, the profile
-// begun by StartProfile written, the span file flushed and rendered as a
-// Perfetto trace (spans.trace.json) beside it, and the HTTP server shut
-// down. A run that never reaches Close (killed, or crashed outside cell
+// begun by StartProfile written, and the span file flushed and rendered
+// as a Perfetto trace (spans.trace.json) beside it. A server serving the
+// run is shut down after Close, so a scrape during Close still answers. A
+// run that never reaches Close (killed, or crashed outside cell
 // supervision) leaves its spans in spans.jsonl unrendered.
 func (r *Run) Close() error {
 	r.mu.Lock()
@@ -189,9 +164,6 @@ func (r *Run) Close() error {
 		if err == nil {
 			err = r.renderSpans()
 		}
-	}
-	if r.server != nil {
-		r.server.close()
 	}
 	return err
 }
@@ -256,7 +228,7 @@ func (r *Run) Counts() (done, failed uint64) {
 type Cell struct {
 	Span *Span
 	// Obs is the machine's collector. Its Tap carries live cycle/commit
-	// progress to the HTTP server; on failure the flight dump exports it.
+	// progress to /metrics and /runs; on failure the flight dump exports it.
 	Obs *metrics.Collector
 
 	run *Run

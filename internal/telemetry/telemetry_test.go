@@ -7,14 +7,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/simerr"
@@ -379,128 +376,54 @@ func TestPromGroupsFamilies(t *testing.T) {
 	}
 }
 
-// promLine matches one exposition sample: name{labels} value.
-var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]`)
-
-func TestHTTPEndpoints(t *testing.T) {
-	r := quietRun(t, Config{Addr: "127.0.0.1:0"})
+// TestWriteRuns renders the /runs document without a server: the run
+// header, the suite span, and every in-flight cell with its live progress
+// in span-ID order; completed cells leave an empty list, not null.
+func TestWriteRuns(t *testing.T) {
+	r := quietRun(t, Config{})
 	r.SetLedger("/tmp/led.jsonl")
+	r.SetArchive("/tmp/archive")
 	r.BeginSuite("fig10")
-	c := r.StartCell("equake", "cfg-33334444", 0, nil)
-	base := "http://" + r.Addr()
+	var cells []*Cell
+	for i, bench := range []string{"mcf", "vpr", "gzip"} {
+		c := r.StartCell(bench, "cfg-33334444", 0, nil)
+		c.Obs.Publish(uint64(100*(i+1)), uint64(10*(i+1)), true)
+		cells = append(cells, c)
+	}
+	r.StartCell("mesa", "cfg-33334444", 0, nil).Fail(fmt.Errorf("boom"))
 
-	get := func(path string) (string, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body), resp.Header.Get("Content-Type")
+	var buf bytes.Buffer
+	if err := r.WriteRuns(&buf); err != nil {
+		t.Fatal(err)
 	}
-
-	if body, _ := get("/healthz"); strings.TrimSpace(body) != "ok" {
-		t.Fatalf("/healthz = %q", body)
-	}
-
-	metricsBody, ct := get("/metrics")
-	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("/metrics content type %q", ct)
-	}
-	helped := map[string]bool{}
-	for _, line := range strings.Split(metricsBody, "\n") {
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, "# HELP "):
-			helped[strings.Fields(line)[2]] = true
-		case strings.HasPrefix(line, "# TYPE "):
-			if !helped[strings.Fields(line)[2]] {
-				t.Fatalf("TYPE before HELP: %q", line)
-			}
-		default:
-			if !promLine.MatchString(line) {
-				t.Fatalf("malformed sample line %q", line)
-			}
-			name := line[:strings.IndexAny(line, "{ ")]
-			if !helped[name] {
-				t.Fatalf("sample %q precedes its HELP/TYPE header", line)
-			}
-		}
-	}
-	for _, want := range []string{
-		`sta_suite_info{run="` + r.ID + `"} 1`,
-		"sta_suite_cells_inflight 1",
-		`sta_cell_cycle{bench="equake",config="cfg-33334444",span="` + fmt.Sprint(c.Span.ID) + `"}`,
-	} {
-		if !strings.Contains(metricsBody, want) {
-			t.Fatalf("/metrics misses %q in:\n%s", want, metricsBody)
-		}
-	}
-
-	runsBody, ct := get("/runs")
-	if !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("/runs content type %q", ct)
-	}
-	var doc struct {
-		Run   string `json:"run"`
-		Suite *Span  `json:"suite"`
-		Cells []struct {
-			Span Span `json:"span"`
-		} `json:"cells"`
-		Ledger string `json:"ledger"`
-	}
-	if err := json.Unmarshal([]byte(runsBody), &doc); err != nil {
-		t.Fatalf("/runs is not JSON: %v\n%s", err, runsBody)
+	var doc runsDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("/runs is not JSON: %v\n%s", err, buf.String())
 	}
 	if doc.Run != r.ID || doc.Suite == nil || doc.Suite.Name != "fig10" ||
-		len(doc.Cells) != 1 || doc.Cells[0].Span.Bench != "equake" || doc.Ledger == "" {
-		t.Fatalf("/runs document wrong: %s", runsBody)
+		doc.Ledger != "/tmp/led.jsonl" || doc.Archive != "/tmp/archive" ||
+		doc.Done != 0 || doc.Failed != 1 || len(doc.Cells) != len(cells) {
+		t.Fatalf("/runs document wrong:\n%s", buf.String())
+	}
+	for i, rc := range doc.Cells {
+		c := cells[i]
+		if rc.Span.ID != c.Span.ID || rc.Span.Bench != c.Span.Bench ||
+			rc.Cycle != uint64(100*(i+1)) || rc.Commits != uint64(10*(i+1)) {
+			t.Fatalf("cell %d = %+v, want span %d (%s) at cycle %d", i, rc, c.Span.ID, c.Span.Bench, 100*(i+1))
+		}
 	}
 
-	c.Done(1)
+	for _, c := range cells {
+		c.Done(1)
+	}
 	r.EndSuite("ok", nil)
-	if body, _ := get("/runs"); !strings.Contains(body, `"cells": []`) {
-		t.Fatalf("/runs after completion should have empty cells: %s", body)
+	buf.Reset()
+	if err := r.WriteRuns(&buf); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestRunsRaceWithCompletion(t *testing.T) {
-	// Hammer /runs while cells start and end: the by-value span copies
-	// under the run mutex must keep this race-free (run with -race).
-	r := quietRun(t, Config{Addr: "127.0.0.1:0"})
-	stop := make(chan struct{})
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c := r.StartCell("mcf", "cfg-55556666", 0, nil)
-			if i%2 == 0 {
-				c.Done(uint64(i))
-			} else {
-				c.Fail(fmt.Errorf("fail %d", i))
-			}
-		}
-	}()
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + r.Addr() + "/runs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	if !strings.Contains(buf.String(), `"cells": []`) || strings.Contains(buf.String(), `"suite"`) {
+		t.Fatalf("/runs after completion should have no suite and empty cells:\n%s", buf.String())
 	}
-	close(stop)
 }
 
 func TestPromEscape(t *testing.T) {

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -48,7 +48,7 @@ func parserData(p parserParams) (dict []int64, queries []int64) {
 	for i := range dict {
 		dict[i] = int64(r.next() % (1 << 40))
 	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
+	slices.Sort(dict)
 	// Queries cluster around a center that drifts with position (words of a
 	// sentence hit neighbouring dictionary regions), so adjacent lookups
 	// walk overlapping search paths — prefetchable by wrong execution but
