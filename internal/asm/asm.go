@@ -224,9 +224,6 @@ func (b *Builder) InitFloat(addr uint64, f float64) { b.img.WriteFloat(addr, f) 
 // InitBytes sets initial raw bytes at addr.
 func (b *Builder) InitBytes(addr uint64, raw []byte) { b.img.SetBytes(addr, raw) }
 
-// Image exposes the initial data image (useful to reference interpreters).
-func (b *Builder) Image() *memimg.Image { return b.img }
-
 // Build resolves label fixups and returns the assembled program. All labels
 // referenced by emitted instructions must be defined.
 func (b *Builder) Build() (*isa.Program, error) {
@@ -255,13 +252,15 @@ func (b *Builder) Build() (*isa.Program, error) {
 		Insts:   append([]isa.Inst(nil), b.insts...),
 		Symbols: syms,
 	}
-	// Export the initialized image as page-granular data segments.
+	// Export the initialized image as page-granular data segments. The
+	// image lends its pages rather than copying them; a later Init* on
+	// this builder copies the page it writes first.
 	for pn := uint64(0); pn*memimg.PageSize < b.brk+memimg.PageSize; pn++ {
-		raw := b.img.ReadRange(pn*memimg.PageSize, memimg.PageSize)
-		if allZero(raw) {
+		pg := b.img.Lend(pn)
+		if pg == nil || allZero(pg[:]) {
 			continue
 		}
-		p.Data = append(p.Data, isa.DataSeg{Addr: pn * memimg.PageSize, Bytes: raw})
+		p.Data = append(p.Data, isa.DataSeg{Addr: pn * memimg.PageSize, Bytes: pg[:]})
 	}
 	return p, nil
 }
@@ -275,9 +274,16 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// LoadData initializes img with a program's data segments.
+// LoadData maps a program's data segments into img as shared pages: img
+// reads them in place and copies a page on its first write, so p's data is
+// never written. A segment that is not one whole page at a page-aligned
+// address breaks isa.DataSeg's contract and panics.
 func LoadData(p *isa.Program, img *memimg.Image) {
 	for _, seg := range p.Data {
-		img.SetBytes(seg.Addr, seg.Bytes)
+		if seg.Addr%memimg.PageSize != 0 || len(seg.Bytes) != memimg.PageSize {
+			panic(fmt.Sprintf("asm: data segment at %#x holds %d bytes; a segment must be one %d-byte page at a page-aligned address",
+				seg.Addr, len(seg.Bytes), memimg.PageSize))
+		}
+		img.Share(seg.Addr>>memimg.PageBits, (*[memimg.PageSize]byte)(seg.Bytes))
 	}
 }

@@ -202,3 +202,49 @@ func TestBuildIsolatesInsts(t *testing.T) {
 		t.Error("Build did not copy the instruction slice")
 	}
 }
+
+// TestBuildIsolatesData checks that Build's zero-copy export is still an
+// isolated snapshot: initializing more data on the builder and building
+// again must leave the first program's segments as they were.
+func TestBuildIsolatesData(t *testing.T) {
+	b := New()
+	arr := b.Alloc("arr", 64, 8)
+	b.InitBytes(arr, []byte{1, 2, 3, 4})
+	b.Halt()
+	p1, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.InitBytes(arr, []byte{9, 9})
+	b.InitWord(arr+memimg.PageSize, 5) // a page the first build did not export
+	p2, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p1.Data) != 1 || len(p2.Data) != 2 {
+		t.Fatalf("segments: first build %d, second %d; want 1 and 2", len(p1.Data), len(p2.Data))
+	}
+	off := arr - p1.Data[0].Addr
+	if got := p1.Data[0].Bytes[off : off+4]; string(got) != "\x01\x02\x03\x04" {
+		t.Errorf("first program's data is % x after a later InitBytes, want 01 02 03 04", got)
+	}
+	if got := p2.Data[0].Bytes[off : off+4]; string(got) != "\x09\x09\x03\x04" {
+		t.Errorf("second program's data is % x, want 09 09 03 04", got)
+	}
+}
+
+func TestLoadDataRejectsPartialPage(t *testing.T) {
+	for _, seg := range []isa.DataSeg{
+		{Addr: DataBase, Bytes: make([]byte, 8)},
+		{Addr: DataBase + 8, Bytes: make([]byte, memimg.PageSize)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LoadData accepted a %d-byte segment at %#x", len(seg.Bytes), seg.Addr)
+				}
+			}()
+			LoadData(&isa.Program{Data: []isa.DataSeg{seg}}, memimg.New())
+		}()
+	}
+}

@@ -157,6 +157,8 @@ func (r *Runner) program(bench string) (*isa.Program, error) {
 }
 
 // Reference runs (and caches) the functional interpreter for a benchmark.
+// The cached result keeps the counts, registers and MemCheck but not the
+// final image: its Mem is nil, since runs are checked against MemCheck.
 func (r *Runner) Reference(bench string) (*interp.Result, error) {
 	r.mu.Lock()
 	ref, ok := r.refs[bench]
@@ -172,6 +174,7 @@ func (r *Runner) Reference(bench string) (*interp.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ref.Mem = nil
 	r.mu.Lock()
 	r.refs[bench] = ref
 	r.mu.Unlock()

@@ -24,7 +24,9 @@ import (
 	"repro/internal/memimg"
 )
 
-// Result is the architectural outcome of a program run.
+// Result is the architectural outcome of a program run. Mem is the final
+// memory: it maps the program's data pages in place and holds a private
+// copy only of each page the run wrote.
 type Result struct {
 	IntRegs  [isa.NumIntRegs]int64
 	FPRegs   [isa.NumFPRegs]float64

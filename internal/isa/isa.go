@@ -343,7 +343,9 @@ type Program struct {
 	Insts   []Inst
 	Entry   int
 	Symbols map[string]int64 // label -> instruction index or data address
-	// Data holds the initial contents of data memory as (addr, bytes) runs.
+	// Data holds the initial contents of data memory, one DataSeg per
+	// initialized page. Every machine and interpreter run over p maps
+	// these pages and reads them in place, so they are read-only.
 	Data []DataSeg
 
 	decodeOnce sync.Once
@@ -359,7 +361,10 @@ func (p *Program) Uops() []Uop {
 	return p.uops
 }
 
-// DataSeg is one initialized run of data memory.
+// DataSeg is one initialized page of data memory: Addr is page-aligned
+// and Bytes is exactly one page (memimg.PageSize bytes), as asm.Build
+// makes them; asm.LoadData panics on any other shape. Bytes is read-only
+// once built, because concurrent machines read it in place.
 type DataSeg struct {
 	Addr  uint64
 	Bytes []byte

@@ -10,7 +10,10 @@ import (
 // a flat map-of-bytes model, checking byte, word, and range accessors for
 // agreement — with addresses biased toward page boundaries, where the
 // split read/write paths live — plus Clone isolation and Checksum
-// determinism at the end.
+// determinism at the end. Every third page starts as a shared base page,
+// so the stream also drives copy-on-write (first writes, cached reads
+// followed by writes, words straddling a shared and a private page), and
+// the base arrays must come out unchanged.
 func FuzzMemImg(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 16, 0, 255, 2, 255, 15, 7})
 	f.Add([]byte{1, 255, 15, 0xde, 1, 0, 16, 0xad, 3, 255, 15, 0})
@@ -18,11 +21,32 @@ func FuzzMemImg(f *testing.F) {
 	f.Add([]byte{4, 9, 9, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img := New()
+		base := map[uint64]*[PageSize]byte{}
+		pristine := map[uint64][PageSize]byte{}
+		for pn := uint64(1); pn < 16; pn += 3 {
+			pg := new([PageSize]byte)
+			for i := range pg {
+				pg[i] = byte(int(pn)*31 + i*7)
+			}
+			base[pn], pristine[pn] = pg, *pg
+			img.Share(pn, pg)
+		}
+		// model holds every byte written; an unwritten byte reads as the
+		// pristine base byte, or zero off the base pages.
 		model := map[uint64]byte{}
+		at := func(addr uint64) byte {
+			if b, ok := model[addr]; ok {
+				return b
+			}
+			if pg, ok := pristine[addr>>PageBits]; ok {
+				return pg[addr&pageMask]
+			}
+			return 0
+		}
 		modelWord := func(addr uint64) int64 {
 			var buf [8]byte
 			for i := range buf {
-				buf[i] = model[addr+uint64(i)]
+				buf[i] = at(addr + uint64(i))
 			}
 			return int64(binary.LittleEndian.Uint64(buf[:]))
 		}
@@ -46,7 +70,7 @@ func FuzzMemImg(f *testing.F) {
 					model[addr+uint64(i)] = b
 				}
 			case 2: // byte read
-				if got, want := img.ByteAt(addr), model[addr]; got != want {
+				if got, want := img.ByteAt(addr), at(addr); got != want {
 					t.Fatalf("ByteAt(%#x) = %d, model %d", addr, got, want)
 				}
 			case 3: // word read
@@ -57,9 +81,9 @@ func FuzzMemImg(f *testing.F) {
 				n := int(val)%300 + 1
 				got := img.ReadRange(addr, n)
 				for i := 0; i < n; i++ {
-					if got[i] != model[addr+uint64(i)] {
+					if got[i] != at(addr+uint64(i)) {
 						t.Fatalf("ReadRange(%#x,%d)[%d] = %d, model %d",
-							addr, n, i, got[i], model[addr+uint64(i)])
+							addr, n, i, got[i], at(addr+uint64(i)))
 					}
 				}
 			case 5: // bulk write
@@ -81,7 +105,7 @@ func FuzzMemImg(f *testing.F) {
 		}
 		img.WriteWord(64, modelWord(64)) // restore model-agnostic state
 		for i := 0; i < 8; i++ {
-			img.SetByte(64+uint64(i), model[64+uint64(i)])
+			img.SetByte(64+uint64(i), at(64+uint64(i)))
 		}
 
 		// Checksum is deterministic and page-allocation-order independent;
@@ -95,8 +119,17 @@ func FuzzMemImg(f *testing.F) {
 			t.Fatalf("clone checksum %#x, original %#x", cl.Checksum(), c1)
 		}
 		cl.SetByte(12345, 0xab)
-		if img.ByteAt(12345) == 0xab && model[12345] != 0xab {
+		if img.ByteAt(12345) == 0xab && at(12345) != 0xab {
 			t.Fatal("clone write leaked into the original image")
+		}
+		cl.SetByte(PageSize+1, ^at(PageSize+1))
+		if img.ByteAt(PageSize+1) != at(PageSize+1) {
+			t.Fatal("clone write to a base page leaked into the original image")
+		}
+		for pn, pg := range base {
+			if *pg != pristine[pn] {
+				t.Fatalf("base page %d changed: a write went through a shared page", pn)
+			}
 		}
 	})
 }

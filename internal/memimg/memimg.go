@@ -21,45 +21,93 @@ const pageMask = PageSize - 1
 
 // Image is a sparse byte-addressable memory. The zero value is not usable;
 // call New.
+//
+// A page is either private to the image or shared: mapped from an array
+// the image does not own (Share) or lent out of it (Lend). Reads use a
+// shared page in place; the first write to it copies it into a private
+// page, so a shared array is never written.
 type Image struct {
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]pageRef
 	// lastPN and last remember the most recent page found, so repeat
-	// accesses to one page skip the map. Pages are never freed, so a
-	// non-nil last stays valid; a nil last caches nothing.
-	lastPN uint64
-	last   *[PageSize]byte
+	// accesses to one page skip the map; lastOwned says whether last is
+	// private and so may be written in place. A nil last caches nothing.
+	lastPN    uint64
+	last      *[PageSize]byte
+	lastOwned bool
+}
+
+// pageRef is one mapped page and whether it is shared.
+type pageRef struct {
+	data   *[PageSize]byte
+	shared bool
 }
 
 // New returns an empty memory image; all bytes read as zero.
 func New() *Image {
-	return &Image{pages: make(map[uint64]*[PageSize]byte)}
+	return &Image{pages: make(map[uint64]pageRef)}
 }
 
-// Clone returns a deep copy of the image, with an empty page cache.
+// Share maps pg as page pn (the page holding addresses pn<<PageBits up),
+// replacing whatever was mapped there. The image reads pg in place and
+// copies it before its first write, so pg is never written; the caller
+// must not change pg while the image maps it.
+func (m *Image) Share(pn uint64, pg *[PageSize]byte) {
+	m.pages[pn] = pageRef{data: pg, shared: true}
+	if pn == m.lastPN {
+		m.last = nil
+	}
+}
+
+// Lend returns page pn's array, or nil if the page is unmapped, and marks
+// the page shared: the image copies it before its next write, so the
+// returned array never changes.
+func (m *Image) Lend(pn uint64) *[PageSize]byte {
+	r, ok := m.pages[pn]
+	if !ok {
+		return nil
+	}
+	if !r.shared {
+		m.pages[pn] = pageRef{data: r.data, shared: true}
+		if pn == m.lastPN {
+			m.last = nil
+		}
+	}
+	return r.data
+}
+
+// Clone returns a deep copy of the image, every page private, with an
+// empty page cache.
 func (m *Image) Clone() *Image {
 	c := New()
-	for pn, pg := range m.pages {
-		np := *pg
-		c.pages[pn] = &np
+	for pn, r := range m.pages {
+		np := *r.data
+		c.pages[pn] = pageRef{data: &np}
 	}
 	return c
 }
 
-func (m *Image) page(addr uint64, alloc bool) *[PageSize]byte {
+// page returns the page holding addr. A read of an unmapped page returns
+// nil; a write maps a zero page there, or copies a shared one, first.
+func (m *Image) page(addr uint64, write bool) *[PageSize]byte {
 	pn := addr >> PageBits
-	if pn == m.lastPN && m.last != nil {
+	if pn == m.lastPN && m.last != nil && (m.lastOwned || !write) {
 		return m.last
 	}
-	pg := m.pages[pn]
-	if pg == nil {
-		if !alloc {
+	r := m.pages[pn]
+	switch {
+	case r.data == nil:
+		if !write {
 			return nil
 		}
-		pg = new([PageSize]byte)
-		m.pages[pn] = pg
+		r.data = new([PageSize]byte)
+		m.pages[pn] = r
+	case write && r.shared:
+		np := *r.data
+		r = pageRef{data: &np}
+		m.pages[pn] = r
 	}
-	m.lastPN, m.last = pn, pg
-	return pg
+	m.lastPN, m.last, m.lastOwned = pn, r.data, !r.shared
+	return r.data
 }
 
 // ByteAt returns the byte at addr.
@@ -155,8 +203,8 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // image that was never written hashes equal to one written with zeros.
 func (m *Image) Checksum() uint64 {
 	pns := make([]uint64, 0, len(m.pages))
-	for pn, pg := range m.pages {
-		if isZero(pg) {
+	for pn, r := range m.pages {
+		if isZero(r.data) {
 			continue
 		}
 		pns = append(pns, pn)
@@ -167,12 +215,12 @@ func (m *Image) Checksum() uint64 {
 	for _, pn := range pns {
 		binary.LittleEndian.PutUint64(hdr[:], pn)
 		sum = crc64.Update(sum, crcTable, hdr[:])
-		sum = crc64.Update(sum, crcTable, m.pages[pn][:])
+		sum = crc64.Update(sum, crcTable, m.pages[pn].data[:])
 	}
 	return sum
 }
 
-// FootprintBytes returns the number of allocated backing bytes.
+// FootprintBytes returns the number of mapped bytes, shared pages included.
 func (m *Image) FootprintBytes() int { return len(m.pages) * PageSize }
 
 func isZero(pg *[PageSize]byte) bool {

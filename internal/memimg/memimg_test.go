@@ -2,6 +2,7 @@ package memimg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -222,5 +223,112 @@ func TestPageCacheCoherence(t *testing.T) {
 	}
 	if c.Checksum() == m.Checksum() {
 		t.Fatal("diverged images hash equal")
+	}
+}
+
+// sharedPage returns a page whose bytes are i*3+1, and a copy to compare
+// it against.
+func sharedPage() (pg, want *[PageSize]byte) {
+	pg = new([PageSize]byte)
+	for i := range pg {
+		pg[i] = byte(i*3 + 1)
+	}
+	w := *pg
+	return pg, &w
+}
+
+func TestShareCopiesOnWrite(t *testing.T) {
+	pg, want := sharedPage()
+	m := New()
+	m.Share(2, pg)
+	if got := m.ByteAt(2*PageSize + 5); got != pg[5] {
+		t.Fatalf("shared page reads %d, want %d", got, pg[5])
+	}
+	m.WriteWord(2*PageSize+8, -1)
+	m.SetByte(2*PageSize+100, 0xee)
+	m.SetBytes(2*PageSize+200, []byte{9, 9, 9})
+	if *pg != *want {
+		t.Fatal("a write to a shared page changed the shared array")
+	}
+	if m.ReadWord(2*PageSize+8) != -1 || m.ByteAt(2*PageSize+100) != 0xee || m.ByteAt(2*PageSize+201) != 9 {
+		t.Fatal("writes to the copied page lost")
+	}
+	if m.ByteAt(2*PageSize+5) != pg[5] || m.ByteAt(2*PageSize+300) != pg[300] {
+		t.Fatal("the copy lost the shared page's other bytes")
+	}
+	if m.FootprintBytes() != PageSize {
+		t.Errorf("footprint = %d, want one page", m.FootprintBytes())
+	}
+}
+
+func TestSharedPageDivergesPerImage(t *testing.T) {
+	pg, want := sharedPage()
+	a, b := New(), New()
+	a.Share(0, pg)
+	b.Share(0, pg)
+	if a.Checksum() != b.Checksum() {
+		t.Fatal("two images over one page hash differently")
+	}
+	a.WriteWord(16, 111)
+	b.WriteWord(16, 222)
+	b.WriteWord(24, 333)
+	if a.ReadWord(16) != 111 || b.ReadWord(16) != 222 {
+		t.Fatal("images over one page did not diverge")
+	}
+	if got, w := a.ReadWord(24), int64(binary.LittleEndian.Uint64(want[24:])); got != w {
+		t.Fatalf("a reads %#x at 24, want the shared %#x", got, w)
+	}
+	if *pg != *want {
+		t.Fatal("writes through two images changed the shared array")
+	}
+}
+
+// TestCachedSharedPageCopiesOnWrite reads a shared page, so the page cache
+// holds it, then writes the same page: the write must still copy.
+func TestCachedSharedPageCopiesOnWrite(t *testing.T) {
+	pg, want := sharedPage()
+	m := New()
+	m.Share(1, pg)
+	_ = m.ReadWord(PageSize)
+	m.SetByte(PageSize+1, 0)
+	m.WriteWord(PageSize+64, 7)
+	if *pg != *want {
+		t.Fatal("a write after a cached read wrote through the shared page")
+	}
+	if m.ByteAt(PageSize+1) != 0 || m.ReadWord(PageSize+64) != 7 {
+		t.Fatal("writes after a cached read lost")
+	}
+	// Lend marks a cached private page shared: the next write copies
+	// again and leaves the lent array as it was.
+	lent := m.Lend(1)
+	before := *lent
+	m.WriteWord(PageSize+64, 8)
+	if *lent != before || m.ReadWord(PageSize+64) != 8 {
+		t.Fatal("a write after Lend wrote through the lent page")
+	}
+	if m.Lend(5) != nil {
+		t.Fatal("Lend of an unmapped page returned an array")
+	}
+}
+
+// TestWordStraddlesSharedAndPrivate writes a word across a shared page and
+// a private one, in both orders.
+func TestWordStraddlesSharedAndPrivate(t *testing.T) {
+	pg, want := sharedPage()
+	m := New()
+	m.Share(1, pg)
+	m.SetByte(2*PageSize+100, 1) // page 2 private
+	m.SetByte(100, 1)            // page 0 private
+	for _, addr := range []uint64{2*PageSize - 3, PageSize - 5} {
+		m.WriteWord(addr, 0x0102030405060708)
+		if got := m.ReadWord(addr); got != 0x0102030405060708 {
+			t.Fatalf("straddling word at %#x = %#x", addr, got)
+		}
+	}
+	if *pg != *want {
+		t.Fatal("a straddling write changed the shared array")
+	}
+	if m.ByteAt(PageSize+3) != pg[3] || m.ByteAt(2*PageSize-4) != pg[PageSize-4] {
+		t.Fatal("a straddling write disturbed the copied page's other bytes")
 	}
 }

@@ -136,26 +136,28 @@ func programDigest(p *isa.Program) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// pinnedDigests is programDigest of every workload at scale 1.
+var pinnedDigests = map[string]string{
+	"vpr":    "5c5cdf251fe3b02cb39c100c41faadf1",
+	"gzip":   "3095af616a50680a5b02398896279c67",
+	"mcf":    "2d22b309461e8861378789a6232690cd",
+	"parser": "0358b345a6e0b721f967175ae37593b9",
+	"equake": "7b133e187cd74c88b3bdda8d7fa5eb67",
+	"mesa":   "98676199a70587d65c7eb5ac2dd4630a",
+}
+
 // TestProgramsPinned pins every workload's program at scale 1, so any
 // change to a program's instructions or data (a reordered dictionary, a
 // different RNG draw) fails here rather than shifting simulated results
 // unnoticed. A deliberate change to a workload updates its digest.
 func TestProgramsPinned(t *testing.T) {
-	want := map[string]string{
-		"vpr":    "5c5cdf251fe3b02cb39c100c41faadf1",
-		"gzip":   "3095af616a50680a5b02398896279c67",
-		"mcf":    "2d22b309461e8861378789a6232690cd",
-		"parser": "0358b345a6e0b721f967175ae37593b9",
-		"equake": "7b133e187cd74c88b3bdda8d7fa5eb67",
-		"mesa":   "98676199a70587d65c7eb5ac2dd4630a",
-	}
 	for _, w := range All() {
 		p, err := w.Build(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := programDigest(p); got != want[w.Short] {
-			t.Errorf("%s: program digest %s, want %s", w.Short, got, want[w.Short])
+		if got := programDigest(p); got != pinnedDigests[w.Short] {
+			t.Errorf("%s: program digest %s, want %s", w.Short, got, pinnedDigests[w.Short])
 		}
 	}
 }
